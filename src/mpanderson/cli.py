@@ -11,9 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import ConfigError, parse_config, run, validate_report
+from .harness import TASK_TYPES, ConfigError, parse_config, run, validate_report
 
-_COMMANDS = ("msa", "decay", "moment", "spectrum", "validate")
+_COMMANDS = (*TASK_TYPES, "validate")
 
 
 def _build_parser() -> argparse.ArgumentParser:

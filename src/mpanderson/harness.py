@@ -6,6 +6,12 @@ interaction (optional), task, run.  Unknown keys, duplicate keys, syntax
 errors and constraint violations are all collected with line numbers and
 reported together.
 
+The key table (`_KEYS`, with one sub-table per task type in `_TASK_KEYS`)
+is the one place where the keys are declared: each key's converter, its
+default or `_REQUIRED`, and which keys each task type takes.  Parsing,
+default filling and `dumps_config` all follow it; a key's name is the field
+name of the block it fills.
+
 Every run writes its CSV outputs atomically (temp file + rename) plus a
 JSON manifest echoing the effective configuration, so a run can be
 reproduced bit-for-bit from its output directory.  CSV bytes depend only on
@@ -18,7 +24,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +56,7 @@ from .observables import (
     decay_fit,
     moment_samples,
 )
-from .spectral import DENSE_LIMIT, eigensolve
-
-TASK_TYPES = ("msa", "decay", "moment", "spectrum")
+from .spectral import DENSE_LIMIT, Spectrum, eigensolve
 
 
 class ConfigError(Exception):
@@ -73,11 +77,11 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ModelBlock:
-    N: int = 1
-    n: int = 1
-    d: int = 1
-    h: float = 0.0
-    dense_limit: int = DENSE_LIMIT
+    N: int
+    n: int
+    d: int
+    h: float
+    dense_limit: int
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,10 @@ class TaskBlock:
 
 @dataclass(frozen=True)
 class RunBlock:
-    master_seed: int = 0
-    realizations: int = 1
-    workers: int = 1
-    out: str = "out"
+    master_seed: int
+    realizations: int
+    workers: int
+    out: str
 
 
 @dataclass(frozen=True)
@@ -117,88 +121,95 @@ class ExperimentConfig:
     interaction: InteractionSpec | None = None
 
 
-# key -> value converter name
-_SCHEMA: dict[str, str] = {
-    "model.N": "int",
-    "model.n": "int",
-    "model.d": "int",
-    "model.h": "float",
-    "model.dense_limit": "int",
-    "disorder.kind": "str",
-    "disorder.values": "float_list",
-    "disorder.probabilities": "float_list",
-    "disorder.q": "float",
-    "disorder.amplitude": "float",
-    "interaction.kind": "str",
-    "interaction.C": "float",
-    "interaction.c": "float",
-    "interaction.tau": "float",
-    "interaction.cutoff": "int",
-    "task.type": "str",
-    "task.m": "float",
-    "task.p": "float",
-    "task.E_lo": "float",
-    "task.E_hi": "float",
-    "task.energy_grid_step": "float",
-    "task.L_values": "int_list",
-    "task.L0": "int",
-    "task.count": "int",
-    "task.alpha": "float",
-    "task.mode": "str",
-    "task.L": "int",
-    "task.s": "float",
-    "task.K_radius": "int",
-    "task.vertex_limit": "int",
-    "task.shell_floor": "float",
-    "task.min_shells": "int",
-    "run.master_seed": "int",
-    "run.realizations": "int",
-    "run.workers": "int",
-    "run.out": "str",
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in raw.split(","))
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(","))
+
+
+_REQUIRED = object()
+
+# section -> key -> (converter, default).  A default of None leaves the key
+# unset; _REQUIRED makes it an error to leave out.  Sections appear in the
+# order dumps_config writes them.
+_KEYS: dict[str, dict[str, tuple]] = {
+    "model": {
+        "N": (int, 1),
+        "n": (int, None),  # unset: n = N
+        "d": (int, 1),
+        "h": (float, 0.0),
+        "dense_limit": (int, DENSE_LIMIT),
+    },
+    "disorder": {
+        "kind": (str, _REQUIRED),
+        "values": (_floats, _REQUIRED),
+        "probabilities": (_floats, None),  # FiniteDiscrete only
+        "q": (float, 0.5),  # Bernoulli only: the probability of values[1]
+        "amplitude": (float, 1.0),
+    },
+    "interaction": {
+        "kind": (str, SUB_EXPONENTIAL),
+        "C": (float, 1.0),
+        "c": (float, 1.0),
+        "tau": (float, 0.5),
+        "cutoff": (int, None),  # FiniteRange only
+    },
+    "task": {"type": (str, _REQUIRED)},
+    "run": {
+        "master_seed": (int, 0),
+        "realizations": (int, 1),
+        "workers": (int, 1),
+        "out": (str, "out"),
+    },
 }
 
-_TASK_KEYS: dict[str, set[str]] = {
+# task type -> the task keys it takes besides task.type, as in _KEYS
+_TASK_KEYS: dict[str, dict[str, tuple]] = {
     "msa": {
-        "task.m",
-        "task.p",
-        "task.E_lo",
-        "task.E_hi",
-        "task.energy_grid_step",
-        "task.L_values",
-        "task.L0",
-        "task.count",
-        "task.alpha",
-        "task.mode",
+        "m": (float, _REQUIRED),
+        "p": (float, 7.0),
+        "E_lo": (float, 0.0),
+        "E_hi": (float, 1.0),
+        "energy_grid_step": (float, 1e-3),
+        # the scales: L_values, or the recursion L0, count, alpha
+        "L_values": (_ints, None),
+        "L0": (int, None),
+        "count": (int, None),
+        "alpha": (float, 1.5),
+        "mode": (str, MONTE_CARLO),
     },
-    "decay": {"task.L", "task.shell_floor", "task.min_shells"},
+    "decay": {
+        "L": (int, _REQUIRED),
+        "shell_floor": (float, DEFAULT_SHELL_FLOOR),
+        "min_shells": (int, 3),
+    },
     "moment": {
-        "task.L",
-        "task.E_lo",
-        "task.E_hi",
-        "task.s",
-        "task.K_radius",
-        "task.vertex_limit",
+        "L": (int, _REQUIRED),
+        "E_lo": (float, _REQUIRED),
+        "E_hi": (float, _REQUIRED),
+        "s": (float, _REQUIRED),
+        "K_radius": (int, _REQUIRED),
+        "vertex_limit": (int, DEFAULT_VERTEX_LIMIT),
     },
-    "spectrum": {"task.L"},
+    "spectrum": {"L": (int, _REQUIRED)},
 }
 
+TASK_TYPES = tuple(_TASK_KEYS)
 
-def _convert(kind: str, raw: str):
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "float_list":
-        return tuple(float(part) for part in raw.split(","))
-    if kind == "int_list":
-        return tuple(int(part) for part in raw.split(","))
-    return raw
+_CONVERTERS = {
+    f"{section}.{key}": converter
+    for section, table in [*_KEYS.items(), *(("task", t) for t in _TASK_KEYS.values())]
+    for key, (converter, _) in table.items()
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config; raises ConfigError listing all problems."""
     errors: list[tuple[int, str]] = []
-    seen: dict[str, tuple[int, object]] = {}
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -208,37 +219,27 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append((lineno, f"syntax error: expected 'section.key = value', got {stripped!r}"))
             continue
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _CONVERTERS:
             errors.append((lineno, f"unknown key {key!r}"))
-            continue
-        if key in seen:
-            errors.append(
-                (lineno, f"duplicate key {key!r} (first set on line {seen[key][0]})")
-            )
-            continue
-        try:
-            value = _convert(_SCHEMA[key], raw)
-        except ValueError:
-            errors.append((lineno, f"bad value for {key!r}: {raw!r}"))
-            continue
-        seen[key] = (lineno, value)
+        elif key in lines:
+            errors.append((lineno, f"duplicate key {key!r} (first set on line {lines[key]})"))
+        else:
+            try:
+                values[key] = _CONVERTERS[key](raw)
+                lines[key] = lineno
+            except ValueError:
+                errors.append((lineno, f"bad value for {key!r}: {raw!r}"))
 
     if errors:
         raise ConfigError(errors)
 
-    values = {key: entry[1] for key, entry in seen.items()}
-    lines = {key: entry[0] for key, entry in seen.items()}
-
     def bad(key: str, message: str) -> None:
         errors.append((lines.get(key, 0), f"{key}: {message}"))
 
-    model = ModelBlock(
-        N=values.get("model.N", 1),
-        n=values.get("model.n", values.get("model.N", 1)),
-        d=values.get("model.d", 1),
-        h=values.get("model.h", 0.0),
-        dense_limit=values.get("model.dense_limit", DENSE_LIMIT),
-    )
+    model_values = _fill("model", _KEYS["model"], values, bad)
+    if model_values["n"] is None:
+        model_values["n"] = model_values["N"]
+    model = ModelBlock(**model_values)
     if model.N < 1:
         bad("model.N", "particle count must be >= 1")
     elif not 1 <= model.n <= model.N:
@@ -251,12 +252,7 @@ def parse_config(text: str) -> ExperimentConfig:
     disorder = _parse_disorder(values, bad)
     interaction = _parse_interaction(values, bad)
     task = _parse_task(values, bad)
-    run_block = RunBlock(
-        master_seed=values.get("run.master_seed", 0),
-        realizations=values.get("run.realizations", 1),
-        workers=values.get("run.workers", 1),
-        out=values.get("run.out", "out"),
-    )
+    run_block = RunBlock(**_fill("run", _KEYS["run"], values, bad))
     if run_block.realizations < 1:
         bad("run.realizations", "must be >= 1")
     if run_block.workers < 0:
@@ -277,39 +273,42 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
+def _fill(section: str, table: dict, values: dict, bad) -> dict | None:
+    """The section's values by key name, with defaults filled in; None (and
+    an error per key) when a required key is missing."""
+    filled = {key: values.get(f"{section}.{key}", default) for key, (_, default) in table.items()}
+    missing = [key for key, value in filled.items() if value is _REQUIRED]
+    for key in missing:
+        bad(f"{section}.{key}", "missing required key")
+    return None if missing else filled
+
+
 def _parse_disorder(values: dict, bad) -> DisorderSpec | None:
     kind = values.get("disorder.kind")
-    if kind is None:
-        bad("disorder.kind", "missing required key")
-        return None
-    if kind not in (BERNOULLI, FINITE_DISCRETE, UNIFORM):
+    if kind is not None and kind not in (BERNOULLI, FINITE_DISCRETE, UNIFORM):
         bad("disorder.kind", f"unsupported kind {kind!r}")
         return None
-    vals = values.get("disorder.values")
-    if vals is None:
-        bad("disorder.values", "missing required key")
+    d = _fill("disorder", _KEYS["disorder"], values, bad)
+    if d is None:
         return None
-    amplitude = values.get("disorder.amplitude", 1.0)
-    spec: DisorderSpec | None = None
+    vals, amplitude = d["values"], d["amplitude"]
     if kind == BERNOULLI:
         if "disorder.probabilities" in values:
             bad("disorder.probabilities", "Bernoulli uses disorder.q instead")
-        q = values.get("disorder.q", 0.5)
         if len(vals) != 2:
             bad("disorder.values", "Bernoulli takes exactly two values a,b")
             return None
-        if not 0.0 <= q <= 1.0:
+        if not 0.0 <= d["q"] <= 1.0:
             bad("disorder.q", "must lie in [0, 1]")
             return None
-        spec = DisorderSpec.bernoulli(vals[0], vals[1], q, amplitude)
+        spec = DisorderSpec.bernoulli(vals[0], vals[1], d["q"], amplitude)
     elif kind == FINITE_DISCRETE:
         if "disorder.q" in values:
             bad("disorder.q", "only valid for Bernoulli")
-        probs = values.get("disorder.probabilities")
-        if probs is None:
+        if d["probabilities"] is None:
             bad("disorder.probabilities", "missing required key")
             return None
-        spec = DisorderSpec.finite_discrete(vals, probs, amplitude)
+        spec = DisorderSpec.finite_discrete(vals, d["probabilities"], amplitude)
     else:
         for key in ("disorder.q", "disorder.probabilities"):
             if key in values:
@@ -327,185 +326,95 @@ def _parse_disorder(values: dict, bad) -> DisorderSpec | None:
 
 
 def _parse_interaction(values: dict, bad) -> InteractionSpec | None:
-    present = [key for key in values if key.startswith("interaction.")]
-    if not present:
+    if not any(key.startswith("interaction.") for key in values):
         return None
-    kind = values.get("interaction.kind", SUB_EXPONENTIAL)
-    if kind not in (SUB_EXPONENTIAL, FINITE_RANGE):
-        bad("interaction.kind", f"unsupported kind {kind!r}")
+    i = _fill("interaction", _KEYS["interaction"], values, bad)
+    if i["kind"] not in (SUB_EXPONENTIAL, FINITE_RANGE):
+        bad("interaction.kind", f"unsupported kind {i['kind']!r}")
         return None
+    if i["kind"] != FINITE_RANGE and i["cutoff"] is not None:
+        bad("interaction.cutoff", "only valid for FiniteRange")
     try:
-        return InteractionSpec(
-            kind=kind,
-            C=values.get("interaction.C", 1.0),
-            c=values.get("interaction.c", 1.0),
-            tau=values.get("interaction.tau", 0.5),
-            cutoff=values.get("interaction.cutoff"),
-        )
+        return InteractionSpec(**i)
     except ValueError as exc:
         bad("interaction.kind", str(exc))
         return None
 
 
 def _parse_task(values: dict, bad) -> TaskBlock | None:
-    task_type = values.get("task.type")
-    if task_type is None:
-        bad("task.type", "missing required key")
+    head = _fill("task", _KEYS["task"], values, bad)
+    if head is None:
         return None
+    task_type = head["type"]
     if task_type not in TASK_TYPES:
         bad("task.type", f"unknown task {task_type!r}; expected one of {TASK_TYPES}")
         return None
-    allowed = _TASK_KEYS[task_type] | {"task.type"}
+    table = _TASK_KEYS[task_type]
     for key in values:
-        if key.startswith("task.") and key not in allowed:
+        section, _, name = key.partition(".")
+        if section == "task" and name != "type" and name not in table:
             bad(key, f"not valid for task type {task_type!r}")
+    t = _fill("task", table, values, bad)
+    if t is None:
+        return None
 
     if task_type == "msa":
-        if values.get("task.m") is None:
-            bad("task.m", "missing required key for msa")
-            return None
-        explicit = values.get("task.L_values")
-        derived = None
-        if "task.L0" in values or "task.count" in values:
-            if explicit is not None:
+        L0, count, alpha = t.pop("L0"), t.pop("count"), t.pop("alpha")
+        if L0 is not None or count is not None:
+            if t["L_values"] is not None:
                 bad("task.L_values", "give either L_values or L0/count, not both")
                 return None
-            if "task.L0" not in values or "task.count" not in values:
+            if L0 is None or count is None:
                 bad("task.L0", "scale recursion needs both task.L0 and task.count")
                 return None
             try:
-                derived = tuple(
-                    scale_sequence(
-                        values["task.L0"],
-                        values["task.count"],
-                        values.get("task.alpha", 1.5),
-                    )
-                )
+                t["L_values"] = tuple(scale_sequence(L0, count, alpha))
             except ValueError as exc:
                 bad("task.L0", str(exc))
                 return None
-        L_values = explicit if explicit is not None else derived
-        if L_values is None:
+        if t["L_values"] is None:
             bad("task.L_values", "missing scales: give L_values or L0/count")
             return None
-        if any(L < 1 for L in L_values):
+        if any(L < 1 for L in t["L_values"]):
             bad("task.L_values", "scales must be >= 1")
-            return None
-        mode = values.get("task.mode", MONTE_CARLO)
-        if mode not in (MONTE_CARLO, EXACT_BERNOULLI):
-            bad("task.mode", f"unknown mode {mode!r}")
-            return None
-        E_lo = values.get("task.E_lo", 0.0)
-        E_hi = values.get("task.E_hi", 1.0)
-        if E_lo > E_hi:
-            bad("task.E_lo", "must satisfy E_lo <= E_hi")
-            return None
-        return TaskBlock(
-            type="msa",
-            m=values["task.m"],
-            p=values.get("task.p", 7.0),
-            E_lo=E_lo,
-            E_hi=E_hi,
-            energy_grid_step=values.get("task.energy_grid_step", 1e-3),
-            L_values=L_values,
-            mode=mode,
-        )
-
-    L = values.get("task.L")
-    if L is None:
-        bad("task.L", f"missing required key for {task_type}")
-        return None
-    if L < 0:
+        if t["mode"] not in (MONTE_CARLO, EXACT_BERNOULLI):
+            bad("task.mode", f"unknown mode {t['mode']!r}")
+        if t["m"] <= 0:
+            bad("task.m", "mass must be positive")
+        if t["energy_grid_step"] <= 0:
+            bad("task.energy_grid_step", "grid step must be positive")
+    if "E_lo" in t and t["E_lo"] > t["E_hi"]:
+        bad("task.E_lo", "must satisfy E_lo <= E_hi")
+    if t.get("L", 0) < 0:
         bad("task.L", "cube radius must be >= 0")
-        return None
-    if task_type == "decay":
-        return TaskBlock(
-            type="decay",
-            L=L,
-            shell_floor=values.get("task.shell_floor", DEFAULT_SHELL_FLOOR),
-            min_shells=values.get("task.min_shells", 3),
-        )
-    if task_type == "moment":
-        missing = [k for k in ("task.E_lo", "task.E_hi", "task.s", "task.K_radius") if k not in values]
-        if missing:
-            bad(missing[0], "missing required key for moment")
-            return None
-        if values["task.E_lo"] > values["task.E_hi"]:
-            bad("task.E_lo", "must satisfy E_lo <= E_hi")
-            return None
-        if values["task.s"] < 0:
-            bad("task.s", "only s >= 0 is supported")
-            return None
-        return TaskBlock(
-            type="moment",
-            L=L,
-            E_lo=values["task.E_lo"],
-            E_hi=values["task.E_hi"],
-            s=values["task.s"],
-            K_radius=values["task.K_radius"],
-            vertex_limit=values.get("task.vertex_limit", DEFAULT_VERTEX_LIMIT),
-        )
-    return TaskBlock(type="spectrum", L=L)
+    if t.get("s", 0) < 0:
+        bad("task.s", "only s >= 0 is supported")
+    for key in ("K_radius", "vertex_limit"):
+        if t.get(key, 0) < 0:
+            bad(f"task.{key}", "must be >= 0")
+    if t.get("min_shells", 2) < 2:
+        bad("task.min_shells", "a line fit needs at least 2 shells")
+    return TaskBlock(type=task_type, **t)
+
+
+def _dump_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_dump_value(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def dumps_config(config: ExperimentConfig) -> str:
     """Canonical text form; parse_config(dumps_config(c)) == c."""
     lines: list[str] = []
-
-    def put(key: str, value) -> None:
-        if value is None:
-            return
-        if isinstance(value, tuple):
-            value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key} = {value}")
-
-    m = config.model
-    put("model.N", m.N)
-    put("model.n", m.n)
-    put("model.d", m.d)
-    put("model.h", m.h)
-    put("model.dense_limit", m.dense_limit)
-
-    dis = config.disorder
-    put("disorder.kind", dis.kind)
-    put("disorder.values", dis.values)
-    if dis.kind == BERNOULLI:
-        put("disorder.q", dis.probabilities[1])
-    elif dis.kind == FINITE_DISCRETE:
-        put("disorder.probabilities", dis.probabilities)
-    put("disorder.amplitude", dis.amplitude)
-
-    if config.interaction is not None:
-        ispec = config.interaction
-        put("interaction.kind", ispec.kind)
-        put("interaction.C", ispec.C)
-        put("interaction.c", ispec.c)
-        put("interaction.tau", ispec.tau)
-        put("interaction.cutoff", ispec.cutoff)
-
-    t = config.task
-    put("task.type", t.type)
-    put("task.m", t.m)
-    put("task.p", t.p)
-    put("task.E_lo", t.E_lo)
-    put("task.E_hi", t.E_hi)
-    put("task.energy_grid_step", t.energy_grid_step)
-    put("task.L_values", t.L_values)
-    put("task.mode", t.mode)
-    put("task.L", t.L)
-    put("task.s", t.s)
-    put("task.K_radius", t.K_radius)
-    put("task.vertex_limit", t.vertex_limit)
-    put("task.shell_floor", t.shell_floor)
-    put("task.min_shells", t.min_shells)
-
-    r = config.run
-    put("run.master_seed", r.master_seed)
-    put("run.realizations", r.realizations)
-    put("run.workers", r.workers)
-    put("run.out", r.out)
+    for section in _KEYS:
+        block = getattr(config, section)
+        if block is None:
+            continue
+        for key, value in asdict(block).items():
+            if section == "disorder" and key == "probabilities" and block.kind == BERNOULLI:
+                key, value = "q", value[1]
+            if value is not None:
+                lines.append(f"{section}.{key} = {_dump_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -537,6 +446,12 @@ def _atomic_write_text(path: Path, text: str) -> None:
             tmp.unlink()
 
 
+def _write_lines(path: Path, lines: list[str], header: str = "") -> Path:
+    """Write header plus one newline-terminated line per entry, atomically."""
+    _atomic_write_text(path, header + "\n".join(lines) + ("\n" if lines else ""))
+    return path
+
+
 def run(
     config: ExperimentConfig,
     cli_seed: int | None = None,
@@ -552,15 +467,8 @@ def run(
     out_dir = Path(out_override or config.run.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    task = config.task.type
-    if task == "msa":
-        outputs = _run_msa(config, workers, out_dir, plot)
-    elif task == "decay":
-        outputs = _run_decay(config, workers, out_dir, plot)
-    elif task == "moment":
-        outputs = _run_moment(config, workers, out_dir, plot)
-    else:
-        outputs = _run_spectrum(config, workers, out_dir, plot)
+    runner = {"msa": _run_msa, "decay": _run_decay, "moment": _run_moment, "spectrum": _run_spectrum}
+    outputs = runner[config.task.type](config, workers, out_dir, plot)
 
     manifest = RunManifest(
         config_echo=dumps_config(config),
@@ -607,35 +515,31 @@ def _run_msa(config: ExperimentConfig, workers: int, out_dir: Path, plot: bool) 
         f"{params.master_seed}"
         for e in estimates
     ]
-    csv_path = out_dir / "msa.csv"
-    _atomic_write_text(csv_path, header + "\n".join(rows) + ("\n" if rows else ""))
-    outputs = [csv_path]
+    outputs = [_write_lines(out_dir / "msa.csv", rows, header)]
     if plot:
         est_lines = [
             f"{e.L} {_fmt(math.log10(e.estimate))}" for e in estimates if e.estimate > 0
         ]
         tgt_lines = [f"{e.L} {_fmt(math.log10(e.target))}" for e in estimates]
-        for name, lines in (("msa_estimate.dat", est_lines), ("msa_target.dat", tgt_lines)):
-            path = out_dir / name
-            _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-            outputs.append(path)
+        outputs.append(_write_lines(out_dir / "msa_estimate.dat", est_lines))
+        outputs.append(_write_lines(out_dir / "msa_target.dat", tgt_lines))
     return outputs
 
 
-@dataclass(frozen=True)
-class _DecayJob:
-    config: ExperimentConfig
-
-
-def _decay_worker(job: _DecayJob, index: int):
-    config = job.config
-    m_block, t = config.model, config.task
-    region = Cube(ConfigPoint.origin(m_block.n, m_block.d), t.L)
+def _realize(config: ExperimentConfig, index: int) -> Spectrum:
+    """Eigensolve realization `index` on the task's cube about the origin."""
+    m_block = config.model
+    region = Cube(ConfigPoint.origin(m_block.n, m_block.d), config.task.L)
     realization = sample(
         config.disorder, single_particle_sites(region), config.run.master_seed, index
     )
     hm = build(region, realization, config.interaction, m_block.h)
-    spectrum = eigensolve(hm, m_block.dense_limit)
+    return eigensolve(hm, m_block.dense_limit)
+
+
+def _decay_worker(config: ExperimentConfig, index: int):
+    t = config.task
+    spectrum = _realize(config, index)
     rows = []
     fits: list[DecayFit | None] = []
     for j in range(spectrum.size):
@@ -657,13 +561,11 @@ def _decay_worker(job: _DecayJob, index: int):
 
 def _run_decay(config: ExperimentConfig, workers: int, out_dir: Path, plot: bool) -> list[Path]:
     results = _parallel.run_indexed(
-        _decay_worker, _DecayJob(config), config.run.realizations, workers
+        _decay_worker, config, config.run.realizations, workers
     )
     header = "# eigenfunction decay fits\n# realization,eigen_index,energy,rate,r_squared,shells,status\n"
     rows = [line for worker_rows, _ in results for line in worker_rows]
-    csv_path = out_dir / "decay.csv"
-    _atomic_write_text(csv_path, header + "\n".join(rows) + ("\n" if rows else ""))
-    outputs = [csv_path]
+    outputs = [_write_lines(out_dir / "decay.csv", rows, header)]
     if plot:
         fits = results[0][1] or []
         chosen: DecayFit | None = None
@@ -680,10 +582,8 @@ def _run_decay(config: ExperimentConfig, workers: int, out_dir: Path, plot: bool
                 f"{_fmt(r)} {_fmt(chosen.intercept - chosen.rate * r)}"
                 for r in chosen.shell_radii
             ]
-        for name, lines in (("decay_shells.dat", shell_lines), ("decay_fitline.dat", line_lines)):
-            path = out_dir / name
-            _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-            outputs.append(path)
+        outputs.append(_write_lines(out_dir / "decay_shells.dat", shell_lines))
+        outputs.append(_write_lines(out_dir / "decay_fitline.dat", line_lines))
     return outputs
 
 
@@ -715,37 +615,20 @@ def _run_moment(config: ExperimentConfig, workers: int, out_dir: Path, plot: boo
         f"{i},{r.master_seed},{_fmt(res.value)},{res.method}"
         for i, res in enumerate(results)
     ]
-    csv_path = out_dir / "moment.csv"
-    _atomic_write_text(csv_path, header + "\n".join(rows) + ("\n" if rows else ""))
-    outputs = [csv_path]
+    outputs = [_write_lines(out_dir / "moment.csv", rows, header)]
     if plot:
         lines = [f"{i} {_fmt(res.value)}" for i, res in enumerate(results)]
-        path = out_dir / "moment_values.dat"
-        _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-        outputs.append(path)
+        outputs.append(_write_lines(out_dir / "moment_values.dat", lines))
     return outputs
 
 
-@dataclass(frozen=True)
-class _SpectrumJob:
-    config: ExperimentConfig
-
-
-def _spectrum_worker(job: _SpectrumJob, index: int) -> list[float]:
-    config = job.config
-    m_block = config.model
-    region = Cube(ConfigPoint.origin(m_block.n, m_block.d), config.task.L)
-    realization = sample(
-        config.disorder, single_particle_sites(region), config.run.master_seed, index
-    )
-    hm = build(region, realization, config.interaction, m_block.h)
-    spectrum = eigensolve(hm, m_block.dense_limit)
-    return spectrum.eigenvalues.tolist()
+def _spectrum_worker(config: ExperimentConfig, index: int) -> list[float]:
+    return _realize(config, index).eigenvalues.tolist()
 
 
 def _run_spectrum(config: ExperimentConfig, workers: int, out_dir: Path, plot: bool) -> list[Path]:
     results = _parallel.run_indexed(
-        _spectrum_worker, _SpectrumJob(config), config.run.realizations, workers
+        _spectrum_worker, config, config.run.realizations, workers
     )
     header = "# finite-volume eigenvalues\n# realization,index,eigenvalue\n"
     rows = [
@@ -753,14 +636,10 @@ def _run_spectrum(config: ExperimentConfig, workers: int, out_dir: Path, plot: b
         for i, eigenvalues in enumerate(results)
         for j, val in enumerate(eigenvalues)
     ]
-    csv_path = out_dir / "spectrum.csv"
-    _atomic_write_text(csv_path, header + "\n".join(rows) + ("\n" if rows else ""))
-    outputs = [csv_path]
+    outputs = [_write_lines(out_dir / "spectrum.csv", rows, header)]
     if plot:
         lines = [f"{j} {_fmt(val)}" for j, val in enumerate(results[0])]
-        path = out_dir / "spectrum_eigenvalues.dat"
-        _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-        outputs.append(path)
+        outputs.append(_write_lines(out_dir / "spectrum_eigenvalues.dat", lines))
     return outputs
 
 

@@ -28,13 +28,13 @@ from typing import Iterable
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
-from .disorder import DisorderSpec, sample
-from .geometry import ConfigPoint, Region, single_particle_sites, sites
-from .hamiltonian import HamiltonianMatrix, InteractionSpec, build
-from .spectral import DENSE_LIMIT, Spectrum, eigensolve
 from . import _parallel
+from .disorder import DisorderSpec, sample
+from .geometry import ConfigPoint, Region, single_particle_sites
+from .hamiltonian import InteractionSpec, build
+from .spectral import DENSE_LIMIT, Spectrum, eigensolve
+
+logger = logging.getLogger(__name__)
 
 EXACT_VERTEX = "ExactVertex"
 UPPER_BOUND = "UpperBound"

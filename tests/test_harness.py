@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpanderson import cli
 from mpanderson._parallel import effective_workers
@@ -142,6 +144,35 @@ def test_exact_mode_requires_bernoulli():
 
 
 @pytest.mark.parametrize(
+    "text, key, phrase",
+    [
+        pytest.param(MSA_CONFIG.replace("task.m = 0.5", "task.m = 0"), "task.m", "positive", id="msa-m-zero"),
+        pytest.param(MSA_CONFIG.replace("task.m = 0.5", "task.m = -0.5"), "task.m", "positive", id="msa-m-negative"),
+        pytest.param(MSA_CONFIG + "task.energy_grid_step = 0\n", "task.energy_grid_step", "positive", id="msa-grid-step-zero"),
+        pytest.param(MSA_CONFIG + "task.energy_grid_step = -1e-3\n", "task.energy_grid_step", "positive", id="msa-grid-step-negative"),
+        pytest.param(MOMENT_CONFIG.replace("task.K_radius = 2", "task.K_radius = -1"), "task.K_radius", ">= 0", id="moment-K-radius-negative"),
+        pytest.param(MOMENT_CONFIG + "task.vertex_limit = -3\n", "task.vertex_limit", ">= 0", id="moment-vertex-limit-negative"),
+        pytest.param(DECAY_CONFIG + "task.min_shells = 1\n", "task.min_shells", "at least 2", id="decay-one-shell"),
+        pytest.param(
+            DECAY_CONFIG + "interaction.kind = SubExponential\ninteraction.cutoff = 2\n",
+            "interaction.cutoff",
+            "only valid for FiniteRange",
+            id="cutoff-with-sub-exponential",
+        ),
+        pytest.param(DECAY_CONFIG + "interaction.cutoff = 2\n", "interaction.cutoff", "only valid for FiniteRange", id="cutoff-with-default-kind"),
+    ],
+)
+def test_bad_value_rejected_with_its_line(text, key, phrase):
+    line = next(i for i, entry in enumerate(text.splitlines(), start=1) if entry.startswith(f"{key} ="))
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert any(
+        at == line and message.startswith(key) and phrase in message
+        for at, message in info.value.errors
+    ), info.value.errors
+
+
+@pytest.mark.parametrize(
     "text", [MSA_CONFIG, DECAY_CONFIG, SPECTRUM_FREE_CONFIG, MOMENT_CONFIG]
 )
 def test_round_trip(text):
@@ -168,6 +199,101 @@ run.realizations = 1
     config = parse_config(text)
     assert parse_config(dumps_config(config)) == config
     assert config.interaction.cutoff == 3
+
+
+_FLOATS = st.floats(-1e6, 1e6)
+
+
+def _format(value) -> str:
+    if isinstance(value, (tuple, list)):
+        return ",".join(_format(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def config_texts(draw):
+    """Valid config texts over every task type, disorder kind, optional
+    interaction, either form of the MSA scales, and omitted defaults."""
+    entries = {}
+
+    def maybe(key, strategy):
+        if draw(st.booleans()):
+            entries[key] = draw(strategy)
+
+    N = draw(st.integers(1, 3))
+    if N > 1 or draw(st.booleans()):
+        entries["model.N"] = N
+    maybe("model.n", st.integers(1, N))
+    maybe("model.d", st.integers(1, 3))
+    maybe("model.h", _FLOATS)
+    maybe("model.dense_limit", st.integers(1, 10**6))
+
+    kind = draw(st.sampled_from(["Bernoulli", "FiniteDiscrete", "Uniform"]))
+    entries["disorder.kind"] = kind
+    if kind == "FiniteDiscrete":
+        values = draw(st.lists(_FLOATS, min_size=2, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+        entries["disorder.probabilities"] = [w / sum(weights) for w in weights]
+    else:
+        values = draw(st.lists(_FLOATS, min_size=2, max_size=2, unique=True))
+    entries["disorder.values"] = sorted(values) if kind == "Uniform" else values
+    if kind == "Bernoulli":
+        maybe("disorder.q", st.floats(0, 1, exclude_min=True, exclude_max=True))
+    maybe("disorder.amplitude", st.floats(0, 1e3))
+
+    if draw(st.booleans()):
+        interaction = draw(st.sampled_from(["SubExponential", "FiniteRange", None]))
+        if interaction is not None:
+            entries["interaction.kind"] = interaction
+        if interaction == "FiniteRange":
+            entries["interaction.cutoff"] = draw(st.integers(0, 10))
+        maybe("interaction.C", st.floats(0, 10))
+        maybe("interaction.c", st.floats(0, 10, exclude_min=True))
+        maybe("interaction.tau", st.floats(0, 1, exclude_min=True))
+
+    task = draw(st.sampled_from(["msa", "decay", "moment", "spectrum"]))
+    entries["task.type"] = task
+    if task != "msa":
+        entries["task.L"] = draw(st.integers(0, 50))
+    if task in ("msa", "moment"):
+        interval = sorted(draw(st.lists(_FLOATS, min_size=2, max_size=2)))
+        if task == "moment" or draw(st.booleans()):
+            entries["task.E_lo"], entries["task.E_hi"] = interval
+    if task == "msa":
+        entries["task.m"] = draw(st.floats(0, 10, exclude_min=True))
+        maybe("task.p", _FLOATS)
+        maybe("task.energy_grid_step", st.floats(0, 1, exclude_min=True))
+        if draw(st.booleans()):
+            entries["task.L_values"] = draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))
+        else:
+            entries["task.L0"] = draw(st.integers(2, 6))
+            entries["task.count"] = draw(st.integers(1, 3))
+            maybe("task.alpha", st.floats(1, 2.5, exclude_min=True))
+        modes = ["MonteCarlo", "ExactBernoulli"] if kind == "Bernoulli" else ["MonteCarlo"]
+        maybe("task.mode", st.sampled_from(modes))
+    elif task == "decay":
+        maybe("task.shell_floor", st.floats(0, 1))
+        maybe("task.min_shells", st.integers(2, 10))
+    elif task == "moment":
+        entries["task.s"] = draw(st.floats(0, 4))
+        entries["task.K_radius"] = draw(st.integers(0, 5))
+        maybe("task.vertex_limit", st.integers(0, 30))
+
+    maybe("run.master_seed", st.integers(0, 2**32))
+    maybe("run.realizations", st.integers(1, 1000))
+    maybe("run.workers", st.integers(0, 8))
+    maybe("run.out", st.text("abz_/-09.", min_size=1))
+    ordered = draw(st.permutations(list(entries.items())))
+    return "".join(f"{key} = {_format(value)}\n" for key, value in ordered)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_texts())
+def test_round_trip_property(text):
+    config = parse_config(text)
+    dumped = dumps_config(config)
+    assert parse_config(dumped) == config
+    assert dumps_config(parse_config(dumped)) == dumped
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +433,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "bad.cfg", "disorder.kind = Gaussian\n")
     assert cli.main(["msa", "--config", path]) == 1
     assert "config error" in capsys.readouterr().err
+
+    # a bad task value is a config error with its line, not a runtime error
+    path = _write(tmp_path, "neg.cfg", MSA_CONFIG.replace("task.m = 0.5", "task.m = -0.5"))
+    line = MSA_CONFIG.splitlines().index("task.m = 0.5") + 1
+    assert cli.main(["msa", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: line {line}: task.m" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_code(tmp_path):
