@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mpanderson import spectral
 from mpanderson.disorder import DisorderRealization, DisorderSpec, sample
 from mpanderson.geometry import ConfigPoint, Cube, Rectangle, internal_boundary, single_particle_sites
 from mpanderson.hamiltonian import InteractionSpec, assemble, build
 from mpanderson.spectral import (
+    GAP_RTOL,
     GreenSolver,
     NearSpectrumError,
+    NsVerdict,
     SizeLimitError,
     classify_cube,
     classify_cube_energies,
@@ -79,6 +85,54 @@ def test_eigensolve_invariants():
     assert spectrum.orthonormality_defect <= 1e-10
     assert spectrum.residual_bound <= 1e-8 * (1.0 + np.max(np.abs(spectrum.eigenvalues)))
     assert np.all(np.diff(spectrum.eigenvalues) >= 0)
+
+
+#: a {0, 8} chain whose spectrum has a gap of 5e-6, on which dsyevr's
+#: eigenvectors have an orthonormality defect of ~1.2e-10 (OpenBLAS 0.3.31)
+_CLUSTERED_CHAIN = "080088008880808008088888880808008"
+
+
+def _clustered_chain():
+    cube = Cube(ConfigPoint.origin(1, 1), 16)
+    values = {(i - 16,): float(digit) for i, digit in enumerate(_CLUSTERED_CHAIN)}
+    return build(cube, DisorderRealization(values))
+
+
+def test_eigensolve_certifies_clustered_bernoulli_chain():
+    hm = _clustered_chain()
+    spectrum = eigensolve(hm)
+    assert spectrum.orthonormality_defect <= 1e-10
+    assert spectrum.residual_bound <= 1e-8 * (1.0 + spectrum.norm_bound())
+    assert np.min(np.diff(spectrum.eigenvalues)) < 1e-5
+    oracle = np.linalg.eigvalsh(hm.dense())
+    assert np.max(np.abs(spectrum.eigenvalues - oracle)) < 1e-12
+
+
+def test_eigensolve_retries_dsyevd_when_dsyevr_fails(monkeypatch):
+    hm = _clustered_chain()
+    real_eigh = sla.eigh
+    drivers = []
+
+    def skewed_default(a, driver=None):
+        drivers.append(driver)
+        values, vectors = real_eigh(a, driver=driver)
+        if driver is None:
+            vectors = vectors.copy()
+            vectors[:, 0] *= 1.0 + 1e-9  # fails the orthonormality gate
+        return values, vectors
+
+    monkeypatch.setattr(spectral.sla, "eigh", skewed_default)
+    spectrum = eigensolve(hm)
+    assert drivers == [None, "evd"]
+    assert spectrum.orthonormality_defect <= 1e-10
+
+    def always_skewed(a, driver=None):
+        values, vectors = real_eigh(a, driver=driver)
+        return values, vectors * (1.0 + 1e-9)
+
+    monkeypatch.setattr(spectral.sla, "eigh", always_skewed)
+    with pytest.raises(RuntimeError, match="failed certification"):
+        eigensolve(hm)
 
 
 def test_eigensolve_size_limit():
@@ -273,3 +327,164 @@ def test_ns_threshold_scale_zero():
     assert ns_threshold(0.5, 4, 1, 1) == pytest.approx(
         math.exp(-gamma(0.5, 4, 1, 1) * 4)
     )
+
+
+# ---------------------------------------------------------------------------
+# spectral-sum kernel against the factorized solve
+# ---------------------------------------------------------------------------
+
+
+def _lu_reference(cube, hm, energies, m, N, spectrum):
+    """Verdicts with every off-resonance energy sent to the factorized solve."""
+    threshold = ns_threshold(m, cube.radius, hm.n, N)
+    gap_tol = GAP_RTOL * max(1.0, spectrum.norm_bound())
+    center = hm.row_of(cube.center)
+    boundary = np.array([hm.row_of(v) for v in internal_boundary(cube)], dtype=np.intp)
+    out = []
+    for E in energies:
+        gap = spectrum.gap_to(E)
+        if gap <= gap_tol:
+            out.append(NsVerdict(False, math.inf, threshold, -math.inf, gap))
+        else:
+            out.append(spectral._lu_verdict(hm.dense(), center, boundary, float(E), threshold, gap))
+    return out
+
+
+def _column_error_bound(hm, spectrum, center, E):
+    """|r| / dist of the spectral-sum column plus that of the refined LU column.
+
+    Each |r| is widened by the round-off of computing (H - E) g itself.
+    """
+    rhs = np.eye(hm.size)[:, center]
+    shifted = hm.dense() - E * np.eye(hm.size)
+    dist = spectrum.gap_to(E) - math.sqrt(spectrum.size) * spectrum.residual_bound
+    if dist <= 0:
+        return math.inf
+    vectors = spectrum.eigenvectors
+    kernel = vectors @ (vectors[center] / (spectrum.eigenvalues - E))
+    lu = sla.lu_factor(shifted)
+    solved = sla.lu_solve(lu, rhs)
+    solved = solved + sla.lu_solve(lu, rhs - shifted @ solved)
+    residuals = np.linalg.norm(shifted @ kernel - rhs) + np.linalg.norm(shifted @ solved - rhs)
+    rounding = (
+        (hm.size + 1) * np.finfo(float).eps * np.linalg.norm(shifted, np.inf)
+        * (np.linalg.norm(kernel) + np.linalg.norm(solved))
+    )
+    return (residuals + rounding) / dist
+
+
+@st.composite
+def _cube_cases(draw):
+    """A random cube operator, its spectrum, (m, N), and probe energies."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        n, L, ispec, h = 1, draw(st.integers(0, 32)), None, 0.0
+    else:
+        n, L = 2, draw(st.integers(0, 3))
+        ispec, h = InteractionSpec.sub_exponential(), draw(st.sampled_from([0.5, 1.0]))
+    if draw(st.booleans()):
+        spec = DisorderSpec.bernoulli(0.0, 1.0, 0.5, draw(st.sampled_from([1.0, 8.0])))
+    else:
+        spec = DisorderSpec.uniform(-1.0, 1.0, amplitude=draw(st.sampled_from([1.5, 4.0])))
+    cube = Cube(ConfigPoint.origin(n, 1), L)
+    hm = build(cube, sample(spec, single_particle_sites(cube), seed, 0), ispec, h)
+    spectrum = eigensolve(hm)
+    eigs = spectrum.eigenvalues
+    energies = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["grid", "eigenvalue", "near"]))
+        if kind == "grid":
+            k = draw(st.integers(0, 1000))
+            energies.append(float(eigs[0] - 1.0 + k * 1e-3 * (eigs[-1] - eigs[0] + 2.0)))
+        else:
+            E = float(eigs[draw(st.integers(0, len(eigs) - 1))])
+            if kind == "near":
+                E += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-13.0, -6.0))
+            energies.append(E)
+    m = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    return cube, hm, spectrum, m, n, energies
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_cube_cases(), data=st.data())
+def test_kernel_matches_lu_path(case, data):
+    cube, hm, spectrum, m, N, energies = case
+    got = classify_cube_energies(cube, hm, energies, m, N, spectrum)
+    want = _lu_reference(cube, hm, energies, m, N, spectrum)
+    center = hm.row_of(cube.center)
+    for E, a, b in zip(energies, got, want):
+        assert a.nonsingular == b.nonsingular
+        assert math.isfinite(a.max_boundary_green) == math.isfinite(b.max_boundary_green)
+        assert a.threshold == b.threshold
+        assert a.spectral_gap == b.spectral_gap
+        if math.isfinite(b.max_boundary_green):
+            delta = abs(a.max_boundary_green - b.max_boundary_green)
+            assert delta <= _column_error_bound(hm, spectrum, center, E)
+    # a verdict does not depend on which other energies share the call
+    order = data.draw(st.permutations(range(len(energies))))
+    chosen = order[: data.draw(st.integers(1, len(energies)))]
+    again = classify_cube_energies(cube, hm, [energies[i] for i in chosen], m, N, spectrum)
+    assert again == [got[i] for i in chosen]
+
+
+def test_classify_verdicts_do_not_depend_on_block():
+    cube, hm = _random_cube_instance(41, L=16)
+    spectrum = eigensolve(hm)
+    energies = np.concatenate(
+        [np.linspace(-1.0, 7.0, 3 * spectral._PROBE_BLOCK + 5), spectrum.eigenvalues[::3]]
+    )
+    batch = classify_cube_energies(cube, hm, energies, 0.3, 1, spectrum)
+    reversed_batch = classify_cube_energies(cube, hm, energies[::-1], 0.3, 1, spectrum)
+    assert reversed_batch[::-1] == batch
+    for k in range(0, len(energies), 7):
+        assert classify_cube(cube, hm, energies[k], 0.3, 1, spectrum) == batch[k]
+
+
+def test_large_columns_left_to_lu_certificate():
+    # within ~1e-11 of an eigenvalue the centre column is ~1e11, (H - E) g
+    # cancels to round-off, and only the factorized solve's own residual says
+    # whether the verdict is certified
+    for seed in range(100):
+        cube = Cube(ConfigPoint.origin(1, 1), 1)
+        spec = DisorderSpec.bernoulli(0.0, 1.0, 0.5, 8.0) if seed % 2 else DisorderSpec.uniform(-1, 1, 4.0)
+        hm = build(cube, sample(spec, single_particle_sites(cube), seed, 0))
+        spectrum = eigensolve(hm)
+        energies = [
+            float(E) + sign * 10.0**-k
+            for E in spectrum.eigenvalues
+            for k in (9, 10, 11)
+            for sign in (-1.0, 1.0)
+        ]
+        got = classify_cube_energies(cube, hm, energies, 0.2, 1, spectrum)
+        want = _lu_reference(cube, hm, energies, 0.2, 1, spectrum)
+        for a, b in zip(got, want):
+            assert a.nonsingular == b.nonsingular
+            assert math.isfinite(a.max_boundary_green) == math.isfinite(b.max_boundary_green)
+
+
+def test_fallback_to_lu_runs_and_agrees(monkeypatch):
+    # at m = 0.5 and L = 32 the threshold exp(-gamma L) ~ 3.5e-12 lies near
+    # the kernel's round-off, so some probes are left to the factorized solve
+    cube = Cube(ConfigPoint.origin(1, 1), 32)
+    spec = DisorderSpec.bernoulli(0.0, 1.0, 0.5, 8.0)
+    hm = build(cube, sample(spec, single_particle_sites(cube), 3, 1))
+    spectrum = eigensolve(hm)
+    energies = np.arange(0.0, 1.0005, 1e-3)
+    want = _lu_reference(cube, hm, energies, 0.5, 1, spectrum)
+
+    calls = []
+    helper = spectral._lu_verdict
+
+    def counted(*args):
+        calls.append(args[3])
+        return helper(*args)
+
+    monkeypatch.setattr(spectral, "_lu_verdict", counted)
+    got = classify_cube_energies(cube, hm, energies, 0.5, 1, spectrum)
+    assert 0 < len(calls) < len(energies)
+    by_energy = dict(zip(energies.tolist(), want))
+    for E in calls:
+        assert got[int(round(E * 1000))] == by_energy[E]
+    for a, b in zip(got, want):
+        assert a.nonsingular == b.nonsingular
+        assert math.isfinite(a.max_boundary_green) == math.isfinite(b.max_boundary_green)
