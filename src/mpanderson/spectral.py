@@ -1,31 +1,30 @@
 """Eigendecomposition, Green functions, and the cube nonsingularity test.
 
 Desk-scale policy: everything is dense below a configurable size limit
-(default 4096 sites); no iterative eigensolvers.  Green functions of the
-real symmetric operator at real off-spectrum energies are real.  The cube
-test takes them from the certified eigendecomposition as the spectral sum
-G(x, c; E) = sum_j psi_j(x) psi_j(c) / (E_j - E), with an error bound per
-energy.  A probe that bound cannot decide, and the public Green-function
-entry points, use one factorized linear solve per (energy, source column),
-the column being reused across probe sites.
+(default 4096 sites); no iterative or sparse solvers.  Green functions of
+the real symmetric operator at real off-spectrum energies are real.  Every
+Green column is the spectral sum G(x, y; E) = sum_j psi_j(x) psi_j(y) /
+(E_j - E) over the certified eigendecomposition, or, where its residual
+certificate cannot decide, one factorized solve with one refinement step.
 
 A cube is nonsingular at energy E for decay parameters (m, N) when E is
 safely off the spectrum and the Green function from the cube's center to
 every internal-boundary site is below exp(-gamma * L), where gamma is the
 scale- and depth-dependent decay exponent.  Resonance (E within the
-spectral-gap tolerance of an eigenvalue) is a verdict, not an error.
+spectral-gap tolerance of an eigenvalue), like a column that neither
+evaluation certifies, is a verdict of the cube test and a NearSpectrumError
+of the Green-function entry points.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .geometry import ConfigPoint, Cube, internal_boundary
 from .hamiltonian import HamiltonianMatrix
@@ -34,8 +33,6 @@ DENSE_LIMIT = 4096
 
 #: |E - nearest eigenvalue| below GAP_RTOL * max(1, |H|) counts as resonant
 GAP_RTOL = 1e-12
-#: without a spectrum, a condition estimate above this signals resonance
-COND_LIMIT = 1e14
 #: certified bound on ||(H - E) g - delta||_2 for returned Green columns
 RESIDUAL_TOL = 1e-8
 
@@ -143,12 +140,66 @@ def _certify(
 # ---------------------------------------------------------------------------
 
 
-class GreenSolver:
-    """Factorization of (H - E) reused across many Green-function queries.
+def _resonance_tol(spectrum: Spectrum) -> float:
+    return GAP_RTOL * max(1.0, spectrum.norm_bound())
 
-    With a spectrum at hand the resonance guard is the spectral gap; without
-    one, it is a reciprocal condition estimate of the factorized matrix.
-    Every returned column carries a residual certificate.
+
+def _spectral_columns(hm: HamiltonianMatrix, spectrum: Spectrum, row: int, energies: np.ndarray):
+    """Yield per block of at most _PROBE_BLOCK energies: the block, the columns
+    g = V diag(1/(E_j - E)) V[row, :]^T, the norms |(H - E) g - delta_row|
+    widened by the round-off of computing them, the gaps to the spectrum,
+    and the denominators E_j - E (set to 1, and g meaningless, if resonant)."""
+    vectors = spectrum.eigenvectors
+    gap_tol = _resonance_tol(spectrum)
+    # each row of (H - E) g sums at most `terms` products, of size <= row_sum |g|
+    terms = int(np.max(np.diff(hm.matrix.indptr))) + 1
+    row_sum = float(np.max(abs(hm.matrix).sum(axis=1)))
+    for start in range(0, len(energies), _PROBE_BLOCK):
+        block = energies[start:start + _PROBE_BLOCK]
+        diff = spectrum.eigenvalues[None, :] - block[:, None]
+        gaps = np.min(np.abs(diff), axis=1)
+        diff[gaps <= gap_tol] = 1.0
+        # every reduction below runs along one row, so a row's floats do not
+        # depend on the rows beside it (a BLAS product may reorder its sums)
+        green = np.einsum("pj,ij->pi", vectors[row] / diff, vectors, optimize=False)
+        residual = (hm.matrix @ green.T).T - block[:, None] * green
+        residual[:, row] -= 1.0
+        column_norm = np.linalg.norm(green, axis=1)
+        rounding = terms * np.finfo(float).eps * (row_sum + np.abs(block)) * column_norm
+        yield block, green, np.linalg.norm(residual, axis=1) + rounding, gaps, diff
+
+
+def _lu_column(dense: np.ndarray, row: int, energy: float) -> np.ndarray:
+    """(H - E)^-1 delta_row by a factorized solve and one refinement step;
+    NearSpectrumError when the refined residual exceeds RESIDUAL_TOL."""
+    eye = np.eye(len(dense))
+    rhs = eye[:, row].copy()
+    shifted = dense - energy * eye
+    lu = sla.lu_factor(shifted)
+    g = sla.lu_solve(lu, rhs)
+    resid = rhs - shifted @ g
+    if np.linalg.norm(resid) > 1e-13:
+        g = g + sla.lu_solve(lu, resid)
+    norm = float(np.linalg.norm(rhs - shifted @ g))
+    if norm > RESIDUAL_TOL:
+        raise NearSpectrumError(
+            f"Green solve residual {norm:.3e} exceeds {RESIDUAL_TOL} at E={energy}"
+        )
+    return g
+
+
+class GreenSolver:
+    """Certified Green columns of one operator at one energy, cached per source.
+
+    A column is the spectral sum when its residual is within RESIDUAL_TOL
+    with the kernel's safety factor to spare, else a factorized solve; each
+    satisfies |(H - E) g - delta_y| <= RESIDUAL_TOL or raises
+    NearSpectrumError, as does an energy within the spectral-gap tolerance.
+    Rows are sites or integers 0..size-1.  Without a spectrum the
+    constructor pays for eigensolve(hm, dense_limit), not an LU
+    factorization, as classify_cube does: resonance is the spectral gap, not
+    a condition estimate, and a region above dense_limit raises
+    SizeLimitError.
     """
 
     def __init__(
@@ -160,67 +211,37 @@ class GreenSolver:
     ) -> None:
         self.hm = hm
         self.energy = float(energy)
+        self._spectrum = spectrum if spectrum is not None else eigensolve(hm, dense_limit)
         self._columns: dict[int, np.ndarray] = {}
+        gap = self._spectrum.gap_to(self.energy)
+        if gap <= _resonance_tol(self._spectrum):
+            raise NearSpectrumError(
+                f"energy {energy} within resolution of the spectrum (gap {gap:.3e})"
+            )
 
-        if spectrum is not None:
-            gap = spectrum.gap_to(energy)
-            if gap <= GAP_RTOL * max(1.0, spectrum.norm_bound()):
-                raise NearSpectrumError(
-                    f"energy {energy} within resolution of the spectrum (gap {gap:.3e})"
-                )
-
-        if hm.size <= dense_limit:
-            shifted = hm.dense() - self.energy * np.eye(hm.size)
-            anorm = float(np.linalg.norm(shifted, 1))
-            self._lu = sla.lu_factor(shifted)
-            self._dense_shifted = shifted
-            self._sparse = None
-            if spectrum is None:
-                rcond = sla.lapack.dgecon(self._lu[0], anorm, norm="1")[0]
-                if rcond == 0.0 or 1.0 / rcond > COND_LIMIT:
-                    raise NearSpectrumError(
-                        f"(H - E) condition estimate exceeds {COND_LIMIT:.0e} at E={energy}"
-                    )
-        else:
-            shifted = (hm.matrix - self.energy * sp.identity(hm.size, format="csr")).tocsc()
-            self._sparse = spla.splu(shifted)
-            self._lu = None
-            self._dense_shifted = None
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            return sla.lu_solve(self._lu, rhs)
-        return self._sparse.solve(rhs)
-
-    def _apply_shifted(self, v: np.ndarray) -> np.ndarray:
-        if self._dense_shifted is not None:
-            return self._dense_shifted @ v
-        return self.hm.matrix @ v - self.energy * v
+    def _row(self, x: ConfigPoint | int) -> int:
+        if isinstance(x, ConfigPoint):
+            return self.hm.row_of(x)
+        i = operator.index(x)
+        if not 0 <= i < self.hm.size:
+            raise ValueError(f"row {i} outside 0..{self.hm.size - 1}")
+        return i
 
     def column(self, y: ConfigPoint | int) -> np.ndarray:
         """Green column G(., y; E), i.e. the solution of (H - E) g = delta_y."""
-        j = y if isinstance(y, int) else self.hm.row_of(y)
-        cached = self._columns.get(j)
-        if cached is not None:
-            return cached
-        rhs = np.zeros(self.hm.size)
-        rhs[j] = 1.0
-        g = self._solve(rhs)
-        resid = rhs - self._apply_shifted(g)
-        norm = float(np.linalg.norm(resid))
-        if norm > 1e-13:
-            g = g + self._solve(resid)  # one step of iterative refinement
-            norm = float(np.linalg.norm(rhs - self._apply_shifted(g)))
-        if norm > RESIDUAL_TOL:
-            raise NearSpectrumError(
-                f"Green solve residual {norm:.3e} exceeds {RESIDUAL_TOL} at E={self.energy}"
+        j = self._row(y)
+        if j not in self._columns:
+            _, columns, residual_norm, _, _ = next(
+                _spectral_columns(self.hm, self._spectrum, j, np.array([self.energy]))
             )
-        self._columns[j] = g
-        return g
+            if _KERNEL_SAFETY * residual_norm[0] <= RESIDUAL_TOL:
+                self._columns[j] = columns[0]
+            else:
+                self._columns[j] = _lu_column(self.hm.dense(), j, self.energy)
+        return self._columns[j]
 
     def green(self, x: ConfigPoint | int, y: ConfigPoint | int) -> float:
-        i = x if isinstance(x, int) else self.hm.row_of(x)
-        return float(self.column(y)[i])
+        return float(self.column(y)[self._row(x)])
 
 
 def green(
@@ -231,7 +252,8 @@ def green(
     spectrum: Spectrum | None = None,
     dense_limit: int = DENSE_LIMIT,
 ) -> float:
-    """Green function <delta_x, (H - E)^{-1} delta_y> by a certified solve."""
+    """Green function <delta_x, (H - E)^{-1} delta_y>, certified as in GreenSolver
+    (so above dense_limit without a spectrum it raises SizeLimitError)."""
     return GreenSolver(hm, energy, spectrum, dense_limit).green(x, y)
 
 
@@ -317,35 +339,20 @@ def classify_cube_energies(
     if spectrum is None:
         spectrum = eigensolve(hm, dense_limit)
     threshold = ns_threshold(m, cube.radius, hm.n, N)
-    gap_tol = GAP_RTOL * max(1.0, spectrum.norm_bound())
+    gap_tol = _resonance_tol(spectrum)
     center_row = hm.row_of(cube.center)
     boundary_rows = np.fromiter(
         (hm.row_of(v) for v in internal_boundary(cube)), dtype=np.intp
     )
-    vectors = spectrum.eigenvectors
-    boundary_squares = vectors[boundary_rows] ** 2
+    boundary_squares = spectrum.eigenvectors[boundary_rows] ** 2
     slack = math.sqrt(spectrum.size) * spectrum.residual_bound  # >= |HV - V diag(E_j)|_2
     defect = spectrum.size * spectrum.orthonormality_defect  # >= |V^T V - I|_2
-    # each row of (H - E) g sums at most `terms` products, of size <= row_sum |g|
-    terms = int(np.max(np.diff(hm.matrix.indptr))) + 1
-    row_sum = float(np.max(abs(hm.matrix).sum(axis=1)))
     energies = np.asarray(energies, dtype=float).reshape(-1)
 
     verdicts: list[NsVerdict] = []
-    for start in range(0, len(energies), _PROBE_BLOCK):
-        block = energies[start:start + _PROBE_BLOCK]
-        diff = spectrum.eigenvalues[None, :] - block[:, None]
-        gaps = np.min(np.abs(diff), axis=1)
+    blocks = _spectral_columns(hm, spectrum, center_row, energies)
+    for block, green, residual_norm, gaps, diff in blocks:
         resonant = gaps <= gap_tol
-        diff[resonant] = 1.0
-        # every reduction below runs along one row, so a row's floats do not
-        # depend on the rows beside it (a BLAS product may reorder its sums)
-        green = np.einsum("pj,ij->pi", vectors[center_row] / diff, vectors, optimize=False)
-        residual = (hm.matrix @ green.T).T - block[:, None] * green
-        residual[:, center_row] -= 1.0
-        column_norm = np.linalg.norm(green, axis=1)
-        rounding = terms * np.finfo(float).eps * (row_sum + np.abs(block)) * column_norm
-        residual_norm = np.linalg.norm(residual, axis=1) + rounding
         max_green = np.max(np.abs(green[:, boundary_rows]), axis=1)
         dist = gaps - slack
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -356,25 +363,25 @@ def classify_cube_energies(
                 a_norm * math.sqrt(1.0 + defect) + (slack * a_norm + defect) / dist[:, None],
                 axis=1,
             )
-        decided = (
+        decided = resonant | (
             (dist > 0.0)
             & (_KERNEL_SAFETY * residual_norm <= RESIDUAL_TOL)
             & (np.abs(max_green - threshold) > _KERNEL_SAFETY * reach * residual_norm)
         )
+        max_green[resonant] = math.inf
         for k, energy in enumerate(block):
             gap = float(gaps[k])
-            if resonant[k]:
-                verdicts.append(NsVerdict(False, math.inf, threshold, -math.inf, gap))
-            elif decided[k]:
-                value = float(max_green[k])
-                verdicts.append(
-                    NsVerdict(value <= threshold, value, threshold, threshold - value, gap)
-                )
+            if decided[k]:
+                verdicts.append(_verdict(float(max_green[k]), threshold, gap))
             else:
                 verdicts.append(
                     _lu_verdict(hm.dense(), center_row, boundary_rows, float(energy), threshold, gap)
                 )
     return verdicts
+
+
+def _verdict(max_green: float, threshold: float, gap: float) -> NsVerdict:
+    return NsVerdict(max_green <= threshold, max_green, threshold, threshold - max_green, gap)
 
 
 def _lu_verdict(
@@ -386,20 +393,11 @@ def _lu_verdict(
     gap: float,
 ) -> NsVerdict:
     """Verdict of one off-resonance energy from a factorized solve."""
-    eye = np.eye(len(dense))
-    rhs = eye[:, center_row].copy()
-    shifted = dense - energy * eye
-    lu = sla.lu_factor(shifted)
-    g = sla.lu_solve(lu, rhs)
-    resid = rhs - shifted @ g
-    if np.linalg.norm(resid) > 1e-13:
-        g = g + sla.lu_solve(lu, resid)
-    if np.linalg.norm(rhs - shifted @ g) > RESIDUAL_TOL:
-        # ill-conditioned beyond certification: treat as resonant
-        return NsVerdict(False, math.inf, threshold, -math.inf, gap)
-    max_green = float(np.max(np.abs(g[boundary_rows])))
-    nonsingular = max_green <= threshold
-    return NsVerdict(nonsingular, max_green, threshold, threshold - max_green, gap)
+    try:
+        g = _lu_column(dense, center_row, energy)
+    except NearSpectrumError:  # ill-conditioned beyond certification: resonant
+        return _verdict(math.inf, threshold, gap)
+    return _verdict(float(np.max(np.abs(g[boundary_rows]))), threshold, gap)
 
 
 def _require_cube_operator(cube: Cube, hm: HamiltonianMatrix) -> None:

@@ -139,6 +139,10 @@ def test_eigensolve_size_limit():
     hm = _free_chain(10)
     with pytest.raises(SizeLimitError):
         eigensolve(hm, dense_limit=9)
+    with pytest.raises(SizeLimitError):
+        green(hm, -1.0, hm.site_list[0], hm.site_list[1], dense_limit=9)
+    with pytest.raises(SizeLimitError):
+        GreenSolver(hm, -1.0, dense_limit=9)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +192,7 @@ def test_green_near_spectrum_raises():
     E = float(spectrum.eigenvalues[1])
     with pytest.raises(NearSpectrumError):
         green(hm, E, hm.site_list[0], hm.site_list[1], spectrum)
-    # also without a spectrum: the condition estimate must catch it
+    # also without a spectrum: the solver's own eigensolve must catch it
     with pytest.raises(NearSpectrumError):
         green(hm, E, hm.site_list[0], hm.site_list[1])
 
@@ -198,6 +202,107 @@ def test_green_requires_sites_in_region():
     outside = ConfigPoint((99,), 1, 1)
     with pytest.raises(ValueError):
         green(hm, -10.0, outside, hm.site_list[0])
+
+
+def test_green_solver_rows_accept_any_integer():
+    _, hm = _random_cube_instance(5, L=3)
+    solver = GreenSolver(hm, 0.7)
+    oracle = GreenSolver(hm, 0.7)
+    assert np.array_equal(solver.column(np.int64(0)), oracle.column(hm.site_list[0]))
+    assert solver.green(np.intp(1), 0) == oracle.green(hm.site_list[1], hm.site_list[0])
+    for bad in (-1, hm.size):
+        with pytest.raises(ValueError):
+            solver.column(bad)
+        with pytest.raises(ValueError):
+            solver.green(bad, 0)
+
+
+@st.composite
+def _green_cases(draw):
+    """A small cube operator, its spectrum, a source row and probe energies.
+
+    The last energy sits 1e-10..1e-9 from an eigenvalue, sourced where that
+    eigenvector peaks, so that the spectral sum's certificate cannot pass.
+    """
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        n, L, ispec, h = 1, draw(st.integers(0, 6)), None, 0.0
+    else:
+        n, L = 2, draw(st.integers(0, 2))
+        ispec, h = InteractionSpec.sub_exponential(), draw(st.sampled_from([0.5, 1.0]))
+    if draw(st.booleans()):
+        spec = DisorderSpec.bernoulli(0.0, 1.0, 0.5, 8.0)
+    else:
+        spec = DisorderSpec.uniform(-1.0, 1.0, amplitude=1.5)
+    cube = Cube(ConfigPoint.origin(n, 1), L)
+    hm = build(cube, sample(spec, single_particle_sites(cube), seed, 0), ispec, h)
+    spectrum = eigensolve(hm)
+    eigs = spectrum.eigenvalues
+    probes = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = draw(st.integers(0, hm.size - 1))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 1000))
+            probes.append((row, float(eigs[0] - 1.0 + k * 1e-3 * (eigs[-1] - eigs[0] + 2.0))))
+        else:
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            offset = sign * 10.0 ** draw(st.floats(-11.0, -6.0))
+            probes.append((row, float(eigs[draw(st.integers(0, len(eigs) - 1))]) + offset))
+    j = draw(st.integers(0, len(eigs) - 1))
+    row = int(np.argmax(np.abs(spectrum.eigenvectors[:, j])))
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-10.0, -9.0))
+    probes.append((row, float(eigs[j]) + offset))
+    return hm, spectrum, probes
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_green_cases())
+def test_green_columns_match_dense_solve(case):
+    hm, spectrum, probes = case
+    lu_column = spectral._lu_column
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lu_column(*args)
+
+    eye = np.eye(hm.size)
+    eps = np.finfo(float).eps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_lu_column", counted)
+        for row, E in probes:
+            dist = spectrum.gap_to(E) - math.sqrt(spectrum.size) * spectrum.residual_bound
+            before = len(calls)
+            try:
+                got = GreenSolver(hm, E, spectrum).column(row)
+            except NearSpectrumError:
+                # neither the spectral sum nor the factorized solve certified
+                # the column: only a probe near an eigenvalue may end so
+                assert spectrum.gap_to(E) < 1e-6
+                with pytest.raises(NearSpectrumError):
+                    GreenSolver(hm, E).column(row)
+                continue
+            if spectrum.gap_to(E) >= 1e-3:  # far from the spectrum the sum certifies
+                assert len(calls) == before
+            assert np.array_equal(GreenSolver(hm, E).column(hm.site_list[row]), got)
+            shifted = hm.dense() - E * eye
+            want = np.linalg.solve(shifted, eye[:, row])
+            residuals = np.linalg.norm(shifted @ got - eye[:, row]) + np.linalg.norm(
+                shifted @ want - eye[:, row]
+            )
+            rounding = (
+                (hm.size + 1) * eps * np.linalg.norm(shifted, np.inf)
+                * (np.linalg.norm(got) + np.linalg.norm(want))
+            )
+            assert dist > 0
+            assert np.linalg.norm(got - want) <= (residuals + rounding) / dist
+    assert calls, "the near-eigenvalue probe never reached the factorized solve"
+    # an energy at an eigenvalue is refused, with or without a spectrum
+    E = float(spectrum.eigenvalues[len(spectrum.eigenvalues) // 2])
+    with pytest.raises(NearSpectrumError):
+        GreenSolver(hm, E, spectrum)
+    with pytest.raises(NearSpectrumError):
+        green(hm, E, hm.site_list[0], hm.site_list[0])
 
 
 # ---------------------------------------------------------------------------
