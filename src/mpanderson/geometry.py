@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,12 @@ def l1_norm(x: ConfigPoint, y: ConfigPoint) -> int:
     """Summed coordinate distance |x - y|_1; hops of the Laplacian have l1 = 1."""
     _check_same_space(x, y)
     return sum(abs(a - b) for a, b in zip(x.coords, y.coords))
+
+
+def coordinate_array(points: Sequence[ConfigPoint]) -> np.ndarray:
+    """Flat coordinates of the points as an int64 array of shape (len, n*d)."""
+    width = len(points[0].coords) if points else 0
+    return np.array([x.coords for x in points], dtype=np.int64).reshape(len(points), width)
 
 
 # ---------------------------------------------------------------------------

@@ -538,25 +538,27 @@ def _realize(config: ExperimentConfig, index: int) -> Spectrum:
 
 
 def _decay_worker(config: ExperimentConfig, index: int):
+    """CSV rows of one realization's fits, and its first fit of highest r^2."""
     t = config.task
     spectrum = _realize(config, index)
     rows = []
-    fits: list[DecayFit | None] = []
+    best: DecayFit | None = None
     for j in range(spectrum.size):
         energy = spectrum.eigenvalues[j]
         try:
             fit = decay_fit(
                 spectrum, j, min_shells=t.min_shells, floor=t.shell_floor
             )
-            rows.append(
-                f"{index},{j},{_fmt(energy)},{_fmt(fit.rate)},{_fmt(fit.r_squared)},"
-                f"{fit.shells_used},ok"
-            )
-            fits.append(fit)
         except DecayFitError:
             rows.append(f"{index},{j},{_fmt(energy)},nan,nan,0,skip:too_few_shells")
-            fits.append(None)
-    return rows, fits if index == 0 else None
+            continue
+        rows.append(
+            f"{index},{j},{_fmt(energy)},{_fmt(fit.rate)},{_fmt(fit.r_squared)},"
+            f"{fit.shells_used},ok"
+        )
+        if best is None or fit.r_squared > best.r_squared:
+            best = fit
+    return rows, best
 
 
 def _run_decay(config: ExperimentConfig, workers: int, out_dir: Path, plot: bool) -> list[Path]:
@@ -567,11 +569,7 @@ def _run_decay(config: ExperimentConfig, workers: int, out_dir: Path, plot: bool
     rows = [line for worker_rows, _ in results for line in worker_rows]
     outputs = [_write_lines(out_dir / "decay.csv", rows, header)]
     if plot:
-        fits = results[0][1] or []
-        chosen: DecayFit | None = None
-        for fit in fits:
-            if fit is not None and (chosen is None or fit.r_squared > chosen.r_squared):
-                chosen = fit
+        chosen = results[0][1]
         shell_lines, line_lines = [], []
         if chosen is not None:
             shell_lines = [

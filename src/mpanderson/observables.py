@@ -2,7 +2,12 @@
 
 Decay is measured per eigenvector by shell maxima: M_r is the largest
 amplitude at sup-distance r from a localization center, and the decay rate
-is minus the least-squares slope of log M_r against r.
+is minus the least-squares slope of log M_r against r.  Distances are array
+reductions over the spectrum's integer coordinate array (built once per
+spectrum): the sup-distance of every site from a point is one max over
+|coords - point|, and the shell maxima are one exact fmax.at, so they are
+the same floats a site-by-site loop finds; the decay fit and the moment
+weight |X|^{s/2} share that reduction.
 
 The dynamical-localization quantity is, per realization, the supremum over
 real bounded functions |f| <= 1 of the squared Hilbert-Schmidt norm of
@@ -24,13 +29,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _parallel
 from .disorder import DisorderSpec, sample
-from .geometry import ConfigPoint, Region, single_particle_sites
+from .geometry import ConfigPoint, Region, _check_same_space, coordinate_array, single_particle_sites
 from .hamiltonian import InteractionSpec, build
 from .spectral import DENSE_LIMIT, Spectrum, eigensolve
 
@@ -60,16 +65,46 @@ class DecayFit:
     shell_log_maxima: np.ndarray
 
 
+def _sup_distances(
+    coordinates: np.ndarray, site_list: Sequence[ConfigPoint], point: ConfigPoint
+) -> np.ndarray:
+    """Sup-distance of every site (a row of coordinates) from the point."""
+    _check_same_space(point, site_list[0])
+    return np.max(np.abs(coordinates - np.array(point.coords, dtype=np.int64)), axis=1)
+
+
+def _shell_reduction(
+    amplitude: np.ndarray, distances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending radii whose shell maximum of the amplitude is positive, and
+    those maxima.  Exact: each maximum is one of the amplitudes, and, as a
+    site-by-site comparison would, fmax skips NaN amplitudes."""
+    lo = int(np.min(distances))
+    span = int(np.max(distances)) - lo + 1
+    if span <= len(distances):  # always so for a connected site set
+        radii, shell = np.arange(lo, lo + span), distances - lo
+    else:
+        radii, shell = np.unique(distances, return_inverse=True)
+    maxima = np.zeros(len(radii))
+    np.fmax.at(maxima, shell, amplitude)
+    positive = maxima > 0.0
+    return radii[positive], maxima[positive]
+
+
 def shell_maxima(
     psi: np.ndarray, site_list: Iterable[ConfigPoint], center: ConfigPoint
 ) -> dict[int, float]:
-    """Max |psi| over the sites at each sup-distance from the center."""
-    out: dict[int, float] = {}
-    for amplitude, site in zip(np.abs(psi), site_list):
-        r = max(abs(a - b) for a, b in zip(site.coords, center.coords))
-        if amplitude > out.get(r, 0.0):
-            out[r] = float(amplitude)
-    return out
+    """Max |psi| over the sites at each sup-distance from the center; a
+    shell whose maximum is 0 has no key."""
+    site_list = tuple(site_list)
+    amplitude = np.abs(psi)
+    if len(amplitude) != len(site_list):
+        raise ValueError(f"{len(amplitude)} amplitudes for {len(site_list)} sites")
+    if not site_list:
+        return {}
+    distances = _sup_distances(coordinate_array(site_list), site_list, center)
+    radii, maxima = _shell_reduction(amplitude, distances)
+    return dict(zip(radii.tolist(), maxima.tolist()))
 
 
 def decay_fit(
@@ -85,16 +120,19 @@ def decay_fit(
     maximum falls below the underflow floor are discarded; fewer than
     min_shells usable shells raise DecayFitError.
     """
-    psi = spectrum.eigenvectors[:, eigen_index]
+    coordinates = spectrum.coordinates
+    amplitude = np.abs(spectrum.eigenvectors[:, eigen_index])
     if center is None:
-        center = spectrum.site_list[int(np.argmax(np.abs(psi)))]
-    maxima = shell_maxima(psi, spectrum.site_list, center)
-    radii = np.array(sorted(r for r, m in maxima.items() if m > floor), dtype=float)
+        center = spectrum.site_list[int(np.argmax(amplitude))]
+    distances = _sup_distances(coordinates, spectrum.site_list, center)
+    radii, maxima = _shell_reduction(amplitude, distances)
+    used = maxima > floor
+    radii = radii[used].astype(float)
     if len(radii) < min_shells:
         raise DecayFitError(
             f"only {len(radii)} shell(s) above the floor; need {min_shells}"
         )
-    logs = np.log([maxima[int(r)] for r in radii])
+    logs = np.log(maxima[used])
     slope, intercept = np.polyfit(radii, logs, 1)
     fitted = intercept + slope * radii
     ss_res = float(np.sum((logs - fitted) ** 2))
@@ -138,17 +176,14 @@ def moment_matrix(
     """The quadratic-form matrix B over the eigenvectors with energy in I."""
     if s < 0:
         raise ValueError("only weights with s >= 0 are implemented")
+    site_list = spectrum.site_list
+    if origin is None:
+        origin = ConfigPoint.origin(site_list[0].n, site_list[0].d)
+    dist = _sup_distances(spectrum.coordinates, site_list, origin).astype(float)
     lo, hi = interval
     indices = spectrum.indices_in(lo, hi)
     if len(indices) == 0:
         return np.zeros((0, 0))
-    site_list = spectrum.site_list
-    if origin is None:
-        origin = ConfigPoint.origin(site_list[0].n, site_list[0].d)
-    dist = np.array(
-        [max(abs(a - b) for a, b in zip(x.coords, origin.coords)) for x in site_list],
-        dtype=float,
-    )
     weight = dist ** (s / 2.0) if s > 0 else np.ones_like(dist)
     vectors = spectrum.eigenvectors[:, indices]
     phi = weight[:, None] * vectors

@@ -22,11 +22,12 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
-from .geometry import ConfigPoint, Cube, internal_boundary
+from .geometry import ConfigPoint, Cube, coordinate_array, internal_boundary
 from .hamiltonian import HamiltonianMatrix
 
 DENSE_LIMIT = 4096
@@ -41,6 +42,8 @@ RESIDUAL_TOL = 1e-8
 _KERNEL_SAFETY = 4.0
 #: probes per spectral-sum block, which bounds the (probes x sites) temporaries
 _PROBE_BLOCK = 128
+#: rows per step of the certificate's in-place subtraction
+_CERTIFY_ROWS = 128
 
 logger = logging.getLogger(__name__)
 
@@ -71,6 +74,15 @@ class Spectrum:
     site_list: tuple[ConfigPoint, ...]
     residual_bound: float
     orthonormality_defect: float
+
+    @cached_property
+    def coordinates(self) -> np.ndarray:
+        """The sites' flat coordinates, one (n*d)-row per eigenvector entry."""
+        if len(self.eigenvectors) != len(self.site_list):
+            raise ValueError(
+                f"{len(self.eigenvectors)} eigenvector entries for {len(self.site_list)} sites"
+            )
+        return coordinate_array(self.site_list)
 
     @property
     def size(self) -> int:
@@ -126,11 +138,24 @@ def eigensolve(hm: HamiltonianMatrix, dense_limit: int = DENSE_LIMIT) -> Spectru
 def _certify(
     dense: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray
 ) -> tuple[float, float, bool]:
-    """(residual bound, orthonormality defect, both within their gates)."""
-    residual = dense @ eigenvectors - eigenvectors * eigenvalues
-    residual_bound = float(np.max(np.linalg.norm(residual, axis=0)))
+    """(residual bound, orthonormality defect, both within their gates).
+
+    Beside the inputs it holds one size x size array at a time (the
+    residual, then the Gram matrix) and row chunks of V diag(E).  Each
+    elementwise step runs in place on the operands, and in the layout, that
+    max_j |(H V - V diag(E))_j| and max |V^T V - 1| written with temporaries
+    use, so the certificates are the same floats.
+    """
+    residual = dense @ eigenvectors
+    for start in range(0, len(residual), _CERTIFY_ROWS):
+        rows = slice(start, start + _CERTIFY_ROWS)
+        residual[rows] -= eigenvectors[rows] * eigenvalues
+    residual *= residual
+    residual_bound = float(np.max(np.sqrt(np.add.reduce(residual, axis=0))))
+    del residual
     gram = eigenvectors.T @ eigenvectors
-    defect = float(np.max(np.abs(gram - np.eye(len(eigenvalues)))))
+    gram.flat[:: len(gram) + 1] -= 1.0
+    defect = float(np.max(np.abs(gram, out=gram)))
     scale = 1.0 + float(np.max(np.abs(eigenvalues)))
     return residual_bound, defect, residual_bound <= 1e-8 * scale and defect <= 1e-10
 
@@ -199,7 +224,7 @@ class GreenSolver:
     constructor pays for eigensolve(hm, dense_limit), not an LU
     factorization, as classify_cube does: resonance is the spectral gap, not
     a condition estimate, and a region above dense_limit raises
-    SizeLimitError.
+    SizeLimitError.  A spectrum taken on other sites raises ValueError.
     """
 
     def __init__(
@@ -211,7 +236,10 @@ class GreenSolver:
     ) -> None:
         self.hm = hm
         self.energy = float(energy)
-        self._spectrum = spectrum if spectrum is not None else eigensolve(hm, dense_limit)
+        if spectrum is None:
+            spectrum = eigensolve(hm, dense_limit)
+        _require_own_spectrum(spectrum, hm)
+        self._spectrum = spectrum
         self._columns: dict[int, np.ndarray] = {}
         gap = self._spectrum.gap_to(self.energy)
         if gap <= _resonance_tol(self._spectrum):
@@ -315,7 +343,8 @@ def classify_cube_energies(
 ) -> list[NsVerdict]:
     """Nonsingularity verdicts of one cube at many energies.
 
-    The Hamiltonian must be built on exactly this cube.  The Green column
+    The Hamiltonian must be built on exactly this cube, and a given
+    spectrum taken on its sites (ValueError otherwise).  The Green column
     from the cube's center (the Green function is symmetric) is the
     spectral sum g = V diag(1/(E_j - E)) V[c, :]^T, taken for blocks of
     energies at once.  Its residual r = (H - E) g - delta_c, widened by the
@@ -338,6 +367,7 @@ def classify_cube_energies(
     _require_cube_operator(cube, hm)
     if spectrum is None:
         spectrum = eigensolve(hm, dense_limit)
+    _require_own_spectrum(spectrum, hm)
     threshold = ns_threshold(m, cube.radius, hm.n, N)
     gap_tol = _resonance_tol(spectrum)
     center_row = hm.row_of(cube.center)
@@ -410,3 +440,8 @@ def _require_cube_operator(cube: Cube, hm: HamiltonianMatrix) -> None:
     else:
         raise ValueError("operator carries no region; build it on the cube first")
     raise ValueError("operator was not built on the cube being classified")
+
+
+def _require_own_spectrum(spectrum: Spectrum, hm: HamiltonianMatrix) -> None:
+    if spectrum.site_list is not hm.site_list and spectrum.site_list != hm.site_list:
+        raise ValueError("spectrum was not computed on the operator's sites")

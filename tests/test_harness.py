@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpanderson import cli
+from mpanderson import cli, harness
 from mpanderson._parallel import effective_workers
+from mpanderson.observables import DecayFit, DecayFitError
 from mpanderson.harness import (
     ConfigError,
     _atomic_write_text,
+    _decay_worker,
     dumps_config,
     parse_config,
     run,
@@ -316,6 +318,22 @@ def test_spectrum_task_matches_path_oracle(tmp_path):
     oracle = 2.0 - 2.0 * np.cos(np.arange(1, length + 1) * np.pi / (length + 1))
     assert np.max(np.abs(np.sort(values) - oracle)) < 1e-10
     assert (tmp_path / "run_manifest.json").exists()
+
+
+def test_decay_worker_ships_its_first_fit_of_highest_r_squared(monkeypatch):
+    config = parse_config(DECAY_CONFIG)
+    size = 2 * config.task.L + 1
+    r_squared = [0.5, 0.9, None, 0.9, 0.1] + [0.2] * (size - 5)  # None: too few shells
+
+    def scripted_fit(spectrum, j, **kwargs):
+        if r_squared[j] is None:
+            raise DecayFitError("scripted skip")
+        return DecayFit(float(j), 0.0, r_squared[j], 3, spectrum.site_list[j], np.arange(3.0), np.zeros(3))
+
+    monkeypatch.setattr(harness, "decay_fit", scripted_fit)
+    rows, best = _decay_worker(config, 1)
+    assert len(rows) == size and rows[2].endswith("skip:too_few_shells")
+    assert best.rate == 1.0
 
 
 def test_decay_task_row_per_eigenvector(tmp_path):

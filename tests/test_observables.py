@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpanderson.disorder import DisorderRealization, DisorderSpec, sample
 from mpanderson.geometry import ConfigPoint, Cube, single_particle_sites, sites
 from mpanderson.hamiltonian import build
 from mpanderson.observables import (
+    DEFAULT_SHELL_FLOOR,
+    DecayFit,
     DecayFitError,
     decay_fit,
     disorder_averaged_moment,
@@ -84,6 +88,133 @@ def test_shell_maxima_buckets():
     psi = np.array([0.1, 0.5, 1.0, 0.25, 0.05])
     maxima = shell_maxima(psi, site_list, ConfigPoint.origin(1, 1))
     assert maxima == {0: 1.0, 1: 0.5, 2: 0.1}
+
+
+# The site-by-site loop that the array reduction replaced, kept as the oracle.
+
+
+def _loop_shell_maxima(psi, site_list, center):
+    out = {}
+    for amplitude, site in zip(np.abs(psi), site_list):
+        r = max(abs(a - b) for a, b in zip(site.coords, center.coords))
+        if amplitude > out.get(r, 0.0):
+            out[r] = float(amplitude)
+    return out
+
+
+def _loop_decay_fit(spectrum, eigen_index, center=None, min_shells=3, floor=DEFAULT_SHELL_FLOOR):
+    psi = spectrum.eigenvectors[:, eigen_index]
+    if center is None:
+        center = spectrum.site_list[int(np.argmax(np.abs(psi)))]
+    maxima = _loop_shell_maxima(psi, spectrum.site_list, center)
+    radii = np.array(sorted(r for r, m in maxima.items() if m > floor), dtype=float)
+    if len(radii) < min_shells:
+        raise DecayFitError(f"only {len(radii)} shell(s) above the floor; need {min_shells}")
+    logs = np.log([maxima[int(r)] for r in radii])
+    slope, intercept = np.polyfit(radii, logs, 1)
+    fitted = intercept + slope * radii
+    ss_res = float(np.sum((logs - fitted) ** 2))
+    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
+    r_squared = 0.0 if ss_tot <= 1e-30 else max(0.0, 1.0 - ss_res / ss_tot)
+    return DecayFit(float(-slope), float(intercept), r_squared, len(radii), center, radii, logs)
+
+
+def _bits(value):
+    array = np.asarray(value)
+    return array.dtype, array.shape, array.tobytes()
+
+
+@st.composite
+def _shell_cases(draw):
+    """A 1-D or two-particle cube (sometimes with a far-away extra site, so
+    the radii have gaps), three amplitude profiles with exact zeros, ties
+    and round-off-sized entries, a centre (None, inside or outside the box),
+    a floor (possibly <= 0) and min_shells."""
+    n = draw(st.sampled_from([1, 2]))
+    L = draw(st.integers(0, 12 if n == 1 else 4))
+    site_list = sites(Cube(ConfigPoint.origin(n, 1), L))
+    if draw(st.booleans()):
+        site_list.append(ConfigPoint((L + draw(st.integers(2, 40)),) * n, n, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = len(site_list)
+    peak = site_list[int(rng.integers(size))].coords
+    dist = np.array([max(abs(a - b) for a, b in zip(x.coords, peak)) for x in site_list])
+    profiles = rng.uniform(0.5, 1.5, (size, 3)) * np.exp(-rng.uniform(0.0, 3.0, 3) * dist[:, None])
+    profiles *= rng.choice([-1.0, 1.0], profiles.shape)
+    profiles[rng.random(profiles.shape) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = 0.0
+    profiles[rng.random(profiles.shape) < 0.1] = 1e-15
+    profiles[:, 2] = np.round(profiles[:, 2], 1)  # ties, and many exact zeros
+    if draw(st.booleans()):
+        profiles[rng.integers(size), 1] = np.nan  # a loop's comparison skips it
+    center = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(*[st.integers(-L - 6, L + 6)] * n).map(lambda c: ConfigPoint(c, n, 1)),
+        )
+    )
+    floor = draw(st.sampled_from([DEFAULT_SHELL_FLOOR, 0.0, -1.0, 1e-3, 0.05]))
+    min_shells = draw(st.sampled_from([2, 3]))
+    return site_list, profiles, center, floor, min_shells
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shell_cases())
+def test_array_shell_maxima_and_fits_equal_the_loop(case):
+    site_list, profiles, center, floor, min_shells = case
+    spectrum = Spectrum(np.zeros(3), profiles, tuple(site_list), 0.0, 0.0)
+    for j in range(3):
+        psi = profiles[:, j]
+        shell_center = center or site_list[int(np.argmax(np.abs(psi)))]
+        maxima = shell_maxima(psi, site_list, shell_center)
+        oracle = _loop_shell_maxima(psi, site_list, shell_center)
+        assert maxima == oracle
+        assert all(type(r) is int and type(m) is float and m > 0.0 for r, m in maxima.items())
+        try:
+            expected = _loop_decay_fit(spectrum, j, center, min_shells, floor)
+        except DecayFitError:
+            with pytest.raises(DecayFitError):
+                decay_fit(spectrum, j, center, min_shells, floor)
+            continue
+        fit = decay_fit(spectrum, j, center, min_shells, floor)
+        assert fit.center == expected.center
+        assert fit.shells_used == expected.shells_used
+        for field in ("rate", "intercept", "r_squared", "shell_radii", "shell_log_maxima"):
+            assert _bits(getattr(fit, field)) == _bits(getattr(expected, field)), field
+
+
+def test_array_fits_equal_the_loop_on_an_eigenbasis():
+    cube = Cube(ConfigPoint.origin(1, 1), 60)
+    spec = DisorderSpec.bernoulli(0.0, 1.0, amplitude=8.0)
+    spectrum = eigensolve(build(cube, sample(spec, single_particle_sites(cube), 3, 0)))
+    for j in range(spectrum.size):
+        fit, expected = decay_fit(spectrum, j), _loop_decay_fit(spectrum, j)
+        for field in ("rate", "intercept", "r_squared", "shell_radii", "shell_log_maxima"):
+            assert _bits(getattr(fit, field)) == _bits(getattr(expected, field)), field
+
+
+def test_distance_code_rejects_mismatched_inputs():
+    site_list = sites(Cube(ConfigPoint.origin(1, 1), 2))
+    origin = ConfigPoint.origin(1, 1)
+    with pytest.raises(ValueError, match="7 amplitudes for 5 sites"):
+        shell_maxima(np.ones(7), site_list, origin)
+    with pytest.raises(ValueError, match="3 amplitudes for 5 sites"):
+        shell_maxima(np.ones(3), site_list, origin)
+    with pytest.raises(ValueError, match="different spaces"):
+        shell_maxima(np.ones(5), site_list, ConfigPoint.origin(2, 1))
+    pair_sites = sites(Cube(ConfigPoint.origin(2, 1), 1))
+    with pytest.raises(ValueError, match="different spaces"):
+        shell_maxima(np.ones(9), pair_sites, ConfigPoint.origin(1, 2))  # n*d agrees
+
+    spectrum = _synthetic_spectrum(lambda x: np.exp(-abs(x)), radius=2)
+    with pytest.raises(ValueError, match="different spaces"):
+        decay_fit(spectrum, 0, center=ConfigPoint.origin(2, 1))
+    with pytest.raises(ValueError, match="different spaces"):
+        moment_matrix(spectrum, (-1.0, 1.0), 2.0, [origin], origin=ConfigPoint.origin(2, 1))
+    too_long = Spectrum(np.zeros(1), np.ones((7, 1)), spectrum.site_list, 0.0, 0.0)
+    with pytest.raises(ValueError, match="7 eigenvector entries for 5 sites"):
+        decay_fit(too_long, 0)
+    with pytest.raises(ValueError, match="7 eigenvector entries for 5 sites"):
+        moment_matrix(too_long, (-1.0, 1.0), 2.0, [origin])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +135,75 @@ def test_eigensolve_retries_dsyevd_when_dsyevr_fails(monkeypatch):
     monkeypatch.setattr(spectral.sla, "eigh", always_skewed)
     with pytest.raises(RuntimeError, match="failed certification"):
         eigensolve(hm)
+
+
+# The certificate expression that _certify replaced, kept as the oracle.
+
+
+def _temporaries_certify(dense, eigenvalues, eigenvectors):
+    residual = dense @ eigenvectors - eigenvectors * eigenvalues
+    residual_bound = float(np.max(np.linalg.norm(residual, axis=0)))
+    gram = eigenvectors.T @ eigenvectors
+    defect = float(np.max(np.abs(gram - np.eye(len(eigenvalues)))))
+    scale = 1.0 + float(np.max(np.abs(eigenvalues)))
+    return residual_bound, defect, residual_bound <= 1e-8 * scale and defect <= 1e-10
+
+
+def _certificate_bits(certificate):
+    residual_bound, defect, certified = certificate
+    return np.float64(residual_bound).tobytes(), np.float64(defect).tobytes(), certified
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    driver=st.sampled_from([None, "evd"]),
+    skew=st.sampled_from([0.0, 1e-12, 1e-9]),
+    shift=st.sampled_from([0.0, 1e-6, 1.0]),
+)
+def test_certify_matches_the_temporaries_expression(size, seed, driver, skew, shift):
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(size, size))
+    dense = dense + dense.T
+    eigenvalues, eigenvectors = sla.eigh(dense, driver=driver)
+    eigenvectors[:, 0] *= 1.0 + skew  # a defect on the diagonal (skew > 0)
+    eigenvalues += shift * rng.normal(size=size)  # residuals far above round-off
+    assert _certificate_bits(spectral._certify(dense, eigenvalues, eigenvectors)) == _certificate_bits(
+        _temporaries_certify(dense, eigenvalues, eigenvectors)
+    )
+
+
+def test_certify_matches_the_temporaries_expression_on_a_clustered_chain():
+    dense = _clustered_chain().dense()
+    for driver in (None, "evd"):
+        eigenvalues, eigenvectors = sla.eigh(dense, driver=driver)
+        assert _certificate_bits(spectral._certify(dense, eigenvalues, eigenvectors)) == _certificate_bits(
+            _temporaries_certify(dense, eigenvalues, eigenvectors)
+        )
+
+
+def test_certify_peak_memory_below_two_matrices_beyond_its_inputs():
+    cube = Cube(ConfigPoint.origin(1, 1), 200)
+    spec = DisorderSpec.bernoulli(0.0, 1.0, amplitude=8.0)
+    dense = build(cube, sample(spec, single_particle_sites(cube), 1, 0)).dense()
+    eigenvalues, eigenvectors = sla.eigh(dense)
+    matrix_bytes = dense.nbytes
+
+    def peak_beyond_inputs(certify):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            certify(dense, eigenvalues, eigenvectors)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    # one size x size array (the residual, then the Gram matrix) plus row chunks
+    assert peak_beyond_inputs(spectral._certify) < 2 * matrix_bytes
+    # the measurement sees the temporaries of the old expression
+    assert peak_beyond_inputs(_temporaries_certify) >= 3 * matrix_bytes
 
 
 def test_eigensolve_size_limit():
@@ -415,6 +486,27 @@ def test_classify_requires_matching_region():
     other = Cube(ConfigPoint((1,), 1, 1), 2)
     with pytest.raises(ValueError):
         classify_cube(other, hm, 0.0, m=1.0, N=1)
+
+
+def test_spectrum_of_other_sites_rejected():
+    cube, hm = _random_cube_instance(4, L=3)
+    other = Cube(ConfigPoint((1,), 1, 1), 3)  # also 7 sites
+    foreign = eigensolve(build(other, sample(DisorderSpec.uniform(-1, 1), single_particle_sites(other), 4, 0)))
+    own = eigensolve(hm)
+    energy = float(own.eigenvalues[2])
+    with pytest.raises(ValueError, match="operator's sites"):
+        classify_cube(cube, hm, energy, m=1.0, N=1, spectrum=foreign)
+    with pytest.raises(ValueError, match="operator's sites"):
+        classify_cube_energies(cube, hm, [energy, energy + 0.1], 1.0, 1, foreign)
+    with pytest.raises(ValueError, match="operator's sites"):
+        GreenSolver(hm, energy + 0.01, foreign)
+    with pytest.raises(ValueError, match="operator's sites"):
+        green(hm, energy + 0.01, cube.center, cube.center, spectrum=foreign)
+    # an equal site list (not the same object) is the operator's own
+    copied = replace(own, site_list=tuple(list(hm.site_list)))
+    assert copied.site_list is not hm.site_list
+    assert classify_cube(cube, hm, energy, 1.0, 1, copied) == classify_cube(cube, hm, energy, 1.0, 1, own)
+    assert GreenSolver(hm, energy + 0.01, copied).green(0, 0) == GreenSolver(hm, energy + 0.01, own).green(0, 0)
 
 
 def test_classify_many_matches_single():
