@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _parallel
 from .disorder import DisorderSpec, sample
-from .geometry import ConfigPoint, Region, _check_same_space, coordinate_array, single_particle_sites
+from .geometry import ConfigPoint, Region, _check_same_space, single_particle_sites
 from .hamiltonian import InteractionSpec, build
 from .spectral import DENSE_LIMIT, Spectrum, eigensolve
 
@@ -73,37 +73,30 @@ def _sup_distances(
     return np.max(np.abs(coordinates - np.array(point.coords, dtype=np.int64)), axis=1)
 
 
-def _shell_reduction(
-    amplitude: np.ndarray, distances: np.ndarray
+def _shell_profile(
+    spectrum: Spectrum, eigen_index: int, center: ConfigPoint
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending radii whose shell maximum of the amplitude is positive, and
-    those maxima.  Exact: each maximum is one of the amplitudes, and, as a
+    """Ascending radii whose shell maximum of |psi_j| is positive, and those
+    maxima.  Exact: each maximum is one of the amplitudes, and, as a
     site-by-site comparison would, fmax skips NaN amplitudes."""
+    distances = _sup_distances(spectrum.coordinates, spectrum.site_list, center)
     lo = int(np.min(distances))
-    span = int(np.max(distances)) - lo + 1
-    if span <= len(distances):  # always so for a connected site set
-        radii, shell = np.arange(lo, lo + span), distances - lo
-    else:
-        radii, shell = np.unique(distances, return_inverse=True)
-    maxima = np.zeros(len(radii))
-    np.fmax.at(maxima, shell, amplitude)
+    maxima = np.zeros(int(np.max(distances)) - lo + 1)
+    np.fmax.at(maxima, distances - lo, np.abs(spectrum.eigenvectors[:, eigen_index]))
     positive = maxima > 0.0
-    return radii[positive], maxima[positive]
+    return np.arange(lo, lo + len(maxima))[positive], maxima[positive]
 
 
 def shell_maxima(
     psi: np.ndarray, site_list: Iterable[ConfigPoint], center: ConfigPoint
 ) -> dict[int, float]:
     """Max |psi| over the sites at each sup-distance from the center; a
-    shell whose maximum is 0 has no key."""
-    site_list = tuple(site_list)
-    amplitude = np.abs(psi)
-    if len(amplitude) != len(site_list):
-        raise ValueError(f"{len(amplitude)} amplitudes for {len(site_list)} sites")
-    if not site_list:
+    shell whose maximum is 0 has no key.  psi is taken as a one-vector
+    Spectrum, so it goes through decay_fit's reduction and checks."""
+    spectrum = Spectrum(np.zeros(1), np.reshape(psi, (-1, 1)), tuple(site_list), 0.0, 0.0)
+    if not len(spectrum.coordinates):
         return {}
-    distances = _sup_distances(coordinate_array(site_list), site_list, center)
-    radii, maxima = _shell_reduction(amplitude, distances)
+    radii, maxima = _shell_profile(spectrum, 0, center)
     return dict(zip(radii.tolist(), maxima.tolist()))
 
 
@@ -120,12 +113,10 @@ def decay_fit(
     maximum falls below the underflow floor are discarded; fewer than
     min_shells usable shells raise DecayFitError.
     """
-    coordinates = spectrum.coordinates
-    amplitude = np.abs(spectrum.eigenvectors[:, eigen_index])
     if center is None:
+        amplitude = np.abs(spectrum.eigenvectors[:, eigen_index])
         center = spectrum.site_list[int(np.argmax(amplitude))]
-    distances = _sup_distances(coordinates, spectrum.site_list, center)
-    radii, maxima = _shell_reduction(amplitude, distances)
+    radii, maxima = _shell_profile(spectrum, eigen_index, center)
     used = maxima > floor
     radii = radii[used].astype(float)
     if len(radii) < min_shells:

@@ -195,9 +195,9 @@ def test_array_fits_equal_the_loop_on_an_eigenbasis():
 def test_distance_code_rejects_mismatched_inputs():
     site_list = sites(Cube(ConfigPoint.origin(1, 1), 2))
     origin = ConfigPoint.origin(1, 1)
-    with pytest.raises(ValueError, match="7 amplitudes for 5 sites"):
+    with pytest.raises(ValueError, match="7 eigenvector entries for 5 sites"):
         shell_maxima(np.ones(7), site_list, origin)
-    with pytest.raises(ValueError, match="3 amplitudes for 5 sites"):
+    with pytest.raises(ValueError, match="3 eigenvector entries for 5 sites"):
         shell_maxima(np.ones(3), site_list, origin)
     with pytest.raises(ValueError, match="different spaces"):
         shell_maxima(np.ones(5), site_list, ConfigPoint.origin(2, 1))
