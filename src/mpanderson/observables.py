@@ -78,7 +78,8 @@ def _shell_profile(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending radii whose shell maximum of |psi_j| is positive, and those
     maxima.  Exact: each maximum is one of the amplitudes, and, as a
-    site-by-site comparison would, fmax skips NaN amplitudes."""
+    site-by-site comparison would, fmax skips NaN amplitudes.  Radii count
+    from the nearest shell, so a far-off center costs no more than a near one."""
     distances = _sup_distances(spectrum.coordinates, spectrum.site_list, center)
     lo = int(np.min(distances))
     maxima = np.zeros(int(np.max(distances)) - lo + 1)

@@ -88,6 +88,7 @@ def test_shell_maxima_buckets():
     psi = np.array([0.1, 0.5, 1.0, 0.25, 0.05])
     maxima = shell_maxima(psi, site_list, ConfigPoint.origin(1, 1))
     assert maxima == {0: 1.0, 1: 0.5, 2: 0.1}
+    assert shell_maxima(np.zeros(0), [], ConfigPoint.origin(1, 1)) == {}
 
 
 # The site-by-site loop that the array reduction replaced, kept as the oracle.
