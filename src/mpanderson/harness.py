@@ -526,15 +526,16 @@ def _run_msa(config: ExperimentConfig, workers: int, out_dir: Path, plot: bool) 
     return outputs
 
 
-def _realize(config: ExperimentConfig, index: int) -> Spectrum:
-    """Eigensolve realization `index` on the task's cube about the origin."""
+def _realize(config: ExperimentConfig, index: int, sectors: bool = False) -> Spectrum:
+    """Eigensolve realization `index` on the task's cube about the origin,
+    in the swap sectors if asked (see eigensolve)."""
     m_block = config.model
     region = Cube(ConfigPoint.origin(m_block.n, m_block.d), config.task.L)
     realization = sample(
         config.disorder, single_particle_sites(region), config.run.master_seed, index
     )
     hm = build(region, realization, config.interaction, m_block.h)
-    return eigensolve(hm, m_block.dense_limit)
+    return eigensolve(hm, m_block.dense_limit, sectors=sectors)
 
 
 def _decay_worker(config: ExperimentConfig, index: int):
@@ -621,7 +622,7 @@ def _run_moment(config: ExperimentConfig, workers: int, out_dir: Path, plot: boo
 
 
 def _spectrum_worker(config: ExperimentConfig, index: int) -> list[float]:
-    return _realize(config, index).eigenvalues.tolist()
+    return _realize(config, index, sectors=True).eigenvalues.tolist()
 
 
 def _run_spectrum(config: ExperimentConfig, workers: int, out_dir: Path, plot: bool) -> list[Path]:

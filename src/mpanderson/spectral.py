@@ -1,7 +1,15 @@
 """Eigendecomposition, Green functions, and the cube nonsingularity test.
 
 Desk-scale policy: everything is dense below a configurable size limit
-(default 4096 sites); no iterative or sparse solvers.  Green functions of
+(default 4096 sites); no iterative solvers.  On request (the moment and
+spectrum tasks), an n >= 2 operator whose sites the swap P of particles 1
+and 2 maps onto themselves is diagonalized in its two swap sectors: H
+commutes with P there (every particle reads one field, and the interaction
+and the Laplacian are symmetric), so it is block-diagonal in the sparse
+orthonormal basis of e_x for P-fixed sites and (e_x +- e_Px)/sqrt(2) for
+swapped pairs, and the even and odd blocks, about half the size each, are
+solved densely.  Whichever way it was found, an eigendecomposition is
+certified against H itself (residual and orthonormality).  Green functions of
 the real symmetric operator at real off-spectrum energies are real.  Every
 Green column is the spectral sum G(x, y; E) = sum_j psi_j(x) psi_j(y) /
 (E_j - E) over the certified eigendecomposition, or, where its residual
@@ -26,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .geometry import ConfigPoint, Cube, coordinate_array, internal_boundary
 from .hamiltonian import HamiltonianMatrix
@@ -44,6 +53,8 @@ _KERNEL_SAFETY = 4.0
 _PROBE_BLOCK = 128
 #: rows per step of the certificate's in-place subtraction
 _CERTIFY_ROWS = 128
+#: the entry of e_x and of +-e_Px in a swapped pair's sector basis vector
+_HALF_ROOT = math.sqrt(0.5)
 
 logger = logging.getLogger(__name__)
 
@@ -99,8 +110,20 @@ class Spectrum:
         return float(np.max(np.abs(self.eigenvalues)))
 
 
-def eigensolve(hm: HamiltonianMatrix, dense_limit: int = DENSE_LIMIT) -> Spectrum:
+def eigensolve(
+    hm: HamiltonianMatrix, dense_limit: int = DENSE_LIMIT, *, sectors: bool = False
+) -> Spectrum:
     """Dense symmetric eigendecomposition with a posteriori certificates.
+
+    With sectors=True the solve splits into the swap sectors where it can:
+    n >= 2, the swap of particles 1 and 2 maps the site list onto itself and
+    moves some site, and H commutes with it up to round-off.  The even and
+    odd blocks Q^T H Q are formed sparsely and solved densely, their
+    eigenvalues merged by a stable sort, and the eigenvectors Q W written
+    into one size x size array; the dense H is never formed, and the
+    residual certificate is the sparse product H V.  Every other case (among
+    them n = 1 and a Rectangle with unequal radii) takes the full dense
+    solve, bit for bit as without the flag.
 
     LAPACK's dsyevr (scipy's default driver) runs first.  On rare clustered
     spectra its eigenvectors miss the orthonormality gate; dsyevd is then
@@ -110,54 +133,138 @@ def eigensolve(hm: HamiltonianMatrix, dense_limit: int = DENSE_LIMIT) -> Spectru
         raise SizeLimitError(
             f"region has {hm.size} sites, dense limit is {dense_limit}"
         )
-    dense = hm.dense()
-    eigenvalues, eigenvectors = sla.eigh(dense)
-    residual_bound, defect, certified = _certify(dense, eigenvalues, eigenvectors)
-    if not certified:
-        logger.info(
-            "dsyevr failed certification on %d sites (residual %.3e, "
-            "orthonormality defect %.3e); retrying with dsyevd",
-            hm.size, residual_bound, defect,
-        )
-        eigenvalues, eigenvectors = sla.eigh(dense, driver="evd")
-        residual_bound, defect, certified = _certify(dense, eigenvalues, eigenvectors)
-    if not certified:
-        raise RuntimeError(
-            f"eigendecomposition failed certification: residual {residual_bound:.3e}, "
-            f"orthonormality defect {defect:.3e}"
-        )
-    return Spectrum(
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        site_list=hm.site_list,
-        residual_bound=residual_bound,
-        orthonormality_defect=defect,
+    pairs = _swap_pairs(hm) if sectors else None
+    operator = hm.dense() if pairs is None else hm.matrix
+    for driver in (None, "evd"):
+        if pairs is None:
+            eigenvalues, eigenvectors = sla.eigh(operator, driver=driver)
+        else:
+            eigenvalues, eigenvectors = _sector_eigh(operator, *pairs, driver)
+        residual_bound, defect, certified = _certify(operator, eigenvalues, eigenvectors)
+        if certified:
+            return Spectrum(
+                eigenvalues=eigenvalues,
+                eigenvectors=eigenvectors,
+                site_list=hm.site_list,
+                residual_bound=residual_bound,
+                orthonormality_defect=defect,
+            )
+        if driver is None:
+            logger.info(
+                "dsyevr failed certification on %d sites (residual %.3e, "
+                "orthonormality defect %.3e); retrying with dsyevd",
+                hm.size, residual_bound, defect,
+            )
+    raise RuntimeError(
+        f"eigendecomposition failed certification: residual {residual_bound:.3e}, "
+        f"orthonormality defect {defect:.3e}"
     )
 
 
+def _swap_pairs(hm: HamiltonianMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Rows (fixed, lo, hi) of the sites the swap P of particles 1 and 2 fixes
+    and of the swapped pairs, hi = P lo > lo; None unless n >= 2, P maps the
+    sites onto themselves and moves some site, and |P H P - H| is at most
+    round-off.  The map comes from sorting the coordinate array and its
+    swapped copy, so it holds for any order of the site list."""
+    if hm.n < 2:
+        return None
+    coords = coordinate_array(hm.site_list)
+    swapped = coords.copy()
+    swapped[:, : hm.d], swapped[:, hm.d : 2 * hm.d] = coords[:, hm.d : 2 * hm.d], coords[:, : hm.d]
+    order = np.lexsort(coords.T[::-1])
+    swapped_order = np.lexsort(swapped.T[::-1])
+    if not np.array_equal(coords[order], swapped[swapped_order]):
+        return None
+    partner = np.empty(hm.size, dtype=np.intp)
+    partner[swapped_order] = order  # site swapped_order[k] swaps to site order[k]
+    rows = np.arange(hm.size)
+    lo = np.flatnonzero(partner > rows)
+    if not len(lo):
+        return None
+    commutator = abs(hm.matrix[partner][:, partner] - hm.matrix).max()
+    if commutator > 1e-12 * (1.0 + abs(hm.matrix).max()):
+        return None
+    return np.flatnonzero(partner == rows), lo, partner[lo]
+
+
+def _sector_eigh(
+    matrix: sp.csr_matrix, fixed: np.ndarray, lo: np.ndarray, hi: np.ndarray, driver: str | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a swap-symmetric operator from its even and odd blocks.
+
+    The even basis is e_x for the fixed rows and (e_lo + e_hi)/sqrt(2) per
+    pair, the odd one (e_lo - e_hi)/sqrt(2).  The merged eigenvalues ascend
+    (a stable sort, even before odd on ties); each block's eigenvectors are
+    written in place, scaled in their own array, into the result's columns.
+    """
+    size, pair_count = matrix.shape[0], len(lo)
+    even_size = len(fixed) + pair_count
+    half = np.full(pair_count, _HALF_ROOT)
+    pair_columns = np.arange(len(fixed), even_size)
+    even = sp.csr_matrix(
+        (
+            np.concatenate([np.ones(len(fixed)), half, half]),
+            (np.concatenate([fixed, lo, hi]), np.concatenate([np.arange(len(fixed)), pair_columns, pair_columns])),
+        ),
+        shape=(size, even_size),
+    )
+    odd = sp.csr_matrix(
+        (np.concatenate([half, -half]), (np.concatenate([lo, hi]), np.tile(np.arange(pair_count), 2))),
+        shape=(size, pair_count),
+    )
+    even_values, even_vectors = sla.eigh((even.T @ matrix @ even).toarray(), driver=driver)
+    odd_values, odd_vectors = sla.eigh((odd.T @ matrix @ odd).toarray(), driver=driver)
+
+    merged = np.concatenate([even_values, odd_values])
+    order = np.argsort(merged, kind="stable")
+    position = np.empty(size, dtype=np.intp)
+    position[order] = np.arange(size)
+    at_even, at_odd = position[:even_size], position[even_size:]
+    vectors = np.zeros((size, size))
+    vectors[fixed[:, None], at_even] = even_vectors[: len(fixed)]
+    pair_part = even_vectors[len(fixed) :]
+    pair_part *= _HALF_ROOT
+    vectors[lo[:, None], at_even] = pair_part
+    vectors[hi[:, None], at_even] = pair_part
+    odd_vectors *= _HALF_ROOT
+    vectors[lo[:, None], at_odd] = odd_vectors
+    vectors[hi[:, None], at_odd] = np.negative(odd_vectors, out=odd_vectors)
+    return merged[order], vectors
+
+
 def _certify(
-    dense: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray
+    operator, eigenvalues: np.ndarray, eigenvectors: np.ndarray
 ) -> tuple[float, float, bool]:
     """(residual bound, orthonormality defect, both within their gates).
 
-    Beside the inputs it holds one size x size array at a time (the
-    residual, then the Gram matrix) and row chunks of V diag(E).  Each
-    elementwise step runs in place on the operands, and in the layout, that
+    The operator is H as a dense array or a sparse matrix.  Beside the
+    inputs it holds one size x size array at a time (the residual, then the
+    Gram matrix) and row chunks of V diag(E).  Each elementwise step runs in
+    place on the operands, and in the layout, that
     max_j |(H V - V diag(E))_j| and max |V^T V - 1| written with temporaries
     use, so the certificates are the same floats.
     """
-    residual = dense @ eigenvectors
+    residual_bound = _residual_bound(operator, eigenvalues, eigenvectors)
+    gram = eigenvectors.T @ eigenvectors
+    gram.flat[:: len(gram) + 1] -= 1.0
+    defect = float(np.max(np.abs(gram, out=gram)))
+    return residual_bound, defect, residual_bound <= _residual_gate(eigenvalues) and defect <= 1e-10
+
+
+def _residual_bound(operator, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> float:
+    """max_j |H v_j - E_j v_j|_2, through one size x size array."""
+    residual = operator @ eigenvectors
     for start in range(0, len(residual), _CERTIFY_ROWS):
         rows = slice(start, start + _CERTIFY_ROWS)
         residual[rows] -= eigenvectors[rows] * eigenvalues
     residual *= residual
-    residual_bound = float(np.max(np.sqrt(np.add.reduce(residual, axis=0))))
-    del residual
-    gram = eigenvectors.T @ eigenvectors
-    gram.flat[:: len(gram) + 1] -= 1.0
-    defect = float(np.max(np.abs(gram, out=gram)))
-    scale = 1.0 + float(np.max(np.abs(eigenvalues)))
-    return residual_bound, defect, residual_bound <= 1e-8 * scale and defect <= 1e-10
+    return float(np.max(np.sqrt(np.add.reduce(residual, axis=0))))
+
+
+def _residual_gate(eigenvalues: np.ndarray) -> float:
+    """The largest residual bound a certified eigendecomposition may have."""
+    return 1e-8 * (1.0 + float(np.max(np.abs(eigenvalues))))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +345,8 @@ class GreenSolver:
         self.energy = float(energy)
         if spectrum is None:
             spectrum = eigensolve(hm, dense_limit)
-        _require_own_spectrum(spectrum, hm)
+        else:
+            _require_own_spectrum(spectrum, hm)
         self._spectrum = spectrum
         self._columns: dict[int, np.ndarray] = {}
         gap = self._spectrum.gap_to(self.energy)
@@ -367,7 +475,8 @@ def classify_cube_energies(
     _require_cube_operator(cube, hm)
     if spectrum is None:
         spectrum = eigensolve(hm, dense_limit)
-    _require_own_spectrum(spectrum, hm)
+    else:
+        _require_own_spectrum(spectrum, hm)
     threshold = ns_threshold(m, cube.radius, hm.n, N)
     gap_tol = _resonance_tol(spectrum)
     center_row = hm.row_of(cube.center)
@@ -443,5 +552,13 @@ def _require_cube_operator(cube: Cube, hm: HamiltonianMatrix) -> None:
 
 
 def _require_own_spectrum(spectrum: Spectrum, hm: HamiltonianMatrix) -> None:
+    """ValueError unless the spectrum is taken on the operator's sites and its
+    eigenpairs pass the certificate's residual gate against the operator (so
+    the spectrum of another realization on the same sites is refused)."""
     if spectrum.site_list is not hm.site_list and spectrum.site_list != hm.site_list:
         raise ValueError("spectrum was not computed on the operator's sites")
+    residual = _residual_bound(hm.matrix, spectrum.eigenvalues, spectrum.eigenvectors)
+    if not residual <= _residual_gate(spectrum.eigenvalues):
+        raise ValueError(
+            f"spectrum is not an eigendecomposition of the operator (residual {residual:.3e})"
+        )

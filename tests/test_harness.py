@@ -71,6 +71,27 @@ run.realizations = 4
 """
 
 
+INTERACTING_CONFIG = """
+model.N = {n}
+model.n = {n}
+model.h = 0.5
+
+disorder.kind = Bernoulli
+disorder.values = 0,8
+
+interaction.kind = SubExponential
+interaction.C = 1.0
+interaction.c = 1.0
+interaction.tau = 0.5
+
+task.type = {task}
+task.L = {L}
+{extra}
+run.master_seed = 4
+run.realizations = 3
+"""
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -320,6 +341,52 @@ def test_spectrum_task_matches_path_oracle(tmp_path):
     assert (tmp_path / "run_manifest.json").exists()
 
 
+def _spectrum_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("n, L", [(2, 4), (3, 2)])
+def test_spectrum_task_sector_eigenvalues_match_the_full_solve(tmp_path, n, L):
+    config = parse_config(INTERACTING_CONFIG.format(n=n, task="spectrum", L=L, extra=""))
+    run(config, out_override=str(tmp_path))
+    rows = _spectrum_rows(tmp_path / "spectrum.csv")
+    for index in range(config.run.realizations):
+        full = harness._realize(config, index).eigenvalues
+        got = np.array([float(r[2]) for r in rows if int(r[0]) == index])
+        assert len(got) == len(full) == (2 * L + 1) ** n
+        assert np.max(np.abs(got - full)) <= 1e-12 * (1.0 + np.max(np.abs(full)))
+        assert [r[2] for r in rows if int(r[0]) == index] == [
+            harness._fmt(E) for E in harness._realize(config, index, sectors=True).eigenvalues
+        ]
+
+
+def _without_sectors(monkeypatch):
+    full_solve = harness.eigensolve
+
+    def full_only(hm, dense_limit, sectors=False):
+        return full_solve(hm, dense_limit)
+
+    monkeypatch.setattr(harness, "eigensolve", full_only)
+
+
+def test_one_particle_spectrum_bytes_do_not_change_with_sectors(tmp_path, monkeypatch):
+    config = parse_config(DECAY_CONFIG.replace("task.type = decay", "task.type = spectrum"))
+    run(config, out_override=str(tmp_path / "sectors"), plot=True)
+    _without_sectors(monkeypatch)
+    run(config, out_override=str(tmp_path / "full"), plot=True)
+    for name in ("spectrum.csv", "spectrum_eigenvalues.dat"):
+        assert (tmp_path / "sectors" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_two_particle_decay_keeps_the_full_solve(tmp_path, monkeypatch):
+    config = parse_config(INTERACTING_CONFIG.format(n=2, task="decay", L=4, extra=""))
+    run(config, out_override=str(tmp_path / "task"), plot=True)
+    _without_sectors(monkeypatch)
+    run(config, out_override=str(tmp_path / "full"), plot=True)
+    for name in ("decay.csv", "decay_shells.dat", "decay_fitline.dat"):
+        assert (tmp_path / "task" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
 def test_decay_worker_ships_its_first_fit_of_highest_r_squared(monkeypatch):
     config = parse_config(DECAY_CONFIG)
     size = 2 * config.task.L + 1
@@ -387,6 +454,17 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     a = (tmp_path / "w1" / "msa.csv").read_bytes()
     b = (tmp_path / "w2" / "msa.csv").read_bytes()
     assert a == b
+
+
+def test_worker_count_does_not_change_moment_bytes(tmp_path):
+    extra = "task.E_lo = 5.0\ntask.E_hi = 5.6\ntask.s = 2.0\ntask.K_radius = 1\n"
+    config = parse_config(INTERACTING_CONFIG.format(n=2, task="moment", L=5, extra=extra))
+    run(config, cli_workers=1, out_override=str(tmp_path / "w1"))
+    run(config, cli_workers=2, out_override=str(tmp_path / "w2"))
+    a = (tmp_path / "w1" / "moment.csv").read_bytes()
+    b = (tmp_path / "w2" / "moment.csv").read_bytes()
+    assert a == b
+    assert a.count(b"ExactVertex") == config.run.realizations
 
 
 def test_seed_override_changes_results(tmp_path):

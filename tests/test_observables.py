@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +8,10 @@ from hypothesis import strategies as st
 
 from mpanderson.disorder import DisorderRealization, DisorderSpec, sample
 from mpanderson.geometry import ConfigPoint, Cube, single_particle_sites, sites
-from mpanderson.hamiltonian import build
+from mpanderson.hamiltonian import InteractionSpec, build
 from mpanderson.observables import (
     DEFAULT_SHELL_FLOOR,
+    _max_vertex_quadratic,
     DecayFit,
     DecayFitError,
     decay_fit,
@@ -295,6 +299,61 @@ def test_hs_moment_monotone_in_K():
         previous = value
 
 
+# The enumeration with its earlier chunk of 1 << 16 sign vectors, kept as the oracle.
+
+
+def _wide_chunk_max_vertex_quadratic(B):
+    m = B.shape[0]
+    if m == 0:
+        return 0.0
+    total = 1 << (m - 1)
+    best = -math.inf
+    chunk = 1 << 16
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        signs = np.empty((len(idx), m))
+        signs[:, 0] = 1.0
+        for k in range(1, m):
+            signs[:, k] = 1.0 - 2.0 * ((idx >> np.uint64(k - 1)) & np.uint64(1)).astype(float)
+        vals = np.einsum("ij,jk,ik->i", signs, B, signs)
+        best = max(best, float(vals.max()))
+    return best
+
+
+def _random_psd(m, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, m)) * rng.uniform(1e-3, 10.0, size=m)
+    return A @ A.T
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 18), seed=st.integers(0, 2**32 - 1))
+def test_vertex_enumeration_equals_the_wide_chunk_bit_for_bit(m, seed):
+    B = _random_psd(m, seed)
+    assert np.float64(_max_vertex_quadratic(B)).tobytes() == np.float64(
+        _wide_chunk_max_vertex_quadratic(B)
+    ).tobytes()
+
+
+def test_vertex_enumeration_peak_memory_at_multiplicity_18():
+    B = _random_psd(18, 1)
+
+    def peak(enumerate_signs):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            enumerate_signs(B)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    # 4096 x 18 signs (590 kB) plus the per-column temporaries
+    assert peak(_max_vertex_quadratic) < 2_000_000
+    # the measurement sees the 65536 x 18 signs (9.4 MB) of the wide chunk
+    assert peak(_wide_chunk_max_vertex_quadratic) >= 9_000_000
+
+
 def test_hs_moment_upper_bound_path():
     _, spectrum = _random_spectrum(5, L=5)
     K = list(spectrum.site_list)
@@ -378,6 +437,19 @@ def test_disorder_averaged_moment_single_realization():
     mean = disorder_averaged_moment(region, spec, None, 0.0, (0.0, 3.0), 0.5, K, 1, 9)
     assert mean == pytest.approx(only.value)
     assert only.provenance == (9, 0)
+
+
+def test_moment_samples_solve_in_the_swap_sectors():
+    region = Cube(ConfigPoint.origin(2, 1), 4)
+    spec = DisorderSpec.bernoulli(0.0, 1.0, 0.5, 8.0)
+    ispec = InteractionSpec.sub_exponential()
+    K = [x for x in sites(region) if max(map(abs, x.coords)) <= 1]
+    results = moment_samples(region, spec, ispec, 0.5, (4.0, 5.0), 2.0, K, 3, 9)
+    for index, result in enumerate(results):
+        hm = build(region, sample(spec, single_particle_sites(region), 9, index), ispec, 0.5)
+        expected = hs_moment(eigensolve(hm, sectors=True), (4.0, 5.0), 2.0, K, provenance=(9, index))
+        assert result == expected
+        assert result.multiplicity > 0
 
 
 def test_moment_sample_mean_stabilizes():

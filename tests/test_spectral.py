@@ -509,6 +509,27 @@ def test_spectrum_of_other_sites_rejected():
     assert GreenSolver(hm, energy + 0.01, copied).green(0, 0) == GreenSolver(hm, energy + 0.01, own).green(0, 0)
 
 
+def test_spectrum_of_another_realization_rejected():
+    # the radius-3 {0, 8} cube at master seed 1: the spectra of realizations
+    # 1-5 are taken on its sites, so only the residual tells them apart
+    cube = Cube(ConfigPoint.origin(1, 1), 3)
+    spec = DisorderSpec.bernoulli(0.0, 1.0, 0.5, 8.0)
+    operators = [build(cube, sample(spec, single_particle_sites(cube), 1, k)) for k in range(6)]
+    hm = operators[0]
+    own = eigensolve(hm)
+    energy = float(own.eigenvalues[3])
+    between = 0.5 * float(own.eigenvalues[3] + own.eigenvalues[4])
+    assert classify_cube(cube, hm, energy, 1.0, 1, own).spectral_gap == 0.0
+    assert GreenSolver(hm, between, own).green(0, 0) == GreenSolver(hm, between).green(0, 0)
+    for other in operators[1:]:
+        foreign = eigensolve(other)
+        assert foreign.site_list == hm.site_list
+        with pytest.raises(ValueError, match="not an eigendecomposition"):
+            classify_cube(cube, hm, energy, 1.0, 1, foreign)
+        with pytest.raises(ValueError, match="not an eigendecomposition"):
+            GreenSolver(hm, between, foreign)
+
+
 def test_classify_many_matches_single():
     cube, hm = _random_cube_instance(40, L=3)
     spectrum = eigensolve(hm)
