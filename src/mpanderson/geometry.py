@@ -18,6 +18,7 @@ between parallel workers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -130,19 +131,12 @@ class Rectangle:
         return tuple(bounds)
 
     def cardinality(self) -> int:
-        return _prod((2 * L + 1) ** self.d for L in self.radii)
+        return math.prod((2 * L + 1) ** self.d for L in self.radii)
 
     def contains(self, x: ConfigPoint) -> bool:
         if x.n != self.n or x.d != self.d:
             return False
         return all(lo <= c <= hi for c, (lo, hi) in zip(x.coords, self.coordinate_bounds()))
-
-
-def _prod(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 @dataclass(frozen=True)

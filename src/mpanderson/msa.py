@@ -18,12 +18,13 @@ this is the main way the event occurs.
 Two estimators: plain Monte Carlo over counter-seeded realizations (Wilson
 confidence intervals, appropriate for rare events), and exact enumeration
 of all Bernoulli potential configurations on small regions, which serves as
-the ground-truth oracle for the Monte Carlo path.
+the ground-truth oracle for the Monte Carlo path.  Both run one
+realization-indexed loop (realization i is the i-th sample or the i-th
+configuration), so the worker count applies to both.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -194,6 +195,13 @@ def _pair_event(
     return any(not verdict.nonsingular for verdict in verdicts_v), len(probes)
 
 
+def _require_separable(u: ConfigPoint, v: ConfigPoint, L: int, N: int) -> None:
+    if not is_separable_pair(u, v, L, N):
+        raise NonSeparablePairError(
+            f"centers {u.coords} and {v.coords} are not a separable pair at L={L}"
+        )
+
+
 def pair_singular_event(
     u: ConfigPoint,
     v: ConfigPoint,
@@ -204,16 +212,13 @@ def pair_singular_event(
 ) -> bool:
     """True iff some probe energy makes both cubes singular under the shared
     realization.  The pair must be separable at scale L."""
-    if not is_separable_pair(u, v, L, params.N):
-        raise NonSeparablePairError(
-            f"centers {u.coords} and {v.coords} are not a separable pair at L={L}"
-        )
+    _require_separable(u, v, L, params.N)
     event, _ = _pair_event(u, v, L, params, realization, ispec)
     return event
 
 
 @dataclass(frozen=True)
-class _McJob:
+class _PairJob:
     u: ConfigPoint
     v: ConfigPoint
     L: int
@@ -223,8 +228,19 @@ class _McJob:
     region: tuple[tuple[int, ...], ...]
 
 
-def _mc_worker(job: _McJob, index: int) -> tuple[bool, int]:
-    realization = sample(job.disorder_spec, job.region, job.params.master_seed, index)
+def _pair_worker(job: _PairJob, index: int) -> tuple[bool, int]:
+    """Realization index is the index-th counter-seeded sample (MonteCarlo) or
+    the index-th Bernoulli configuration, in itertools.product order: site k
+    of the m-site region reads bit m-1-k of index (ExactBernoulli)."""
+    spec, m = job.disorder_spec, len(job.region)
+    if job.params.mode == EXACT_BERNOULLI:
+        values = {
+            site: spec.amplitude * spec.values[(index >> (m - 1 - k)) & 1]
+            for k, site in enumerate(job.region)
+        }
+        realization = DisorderRealization(values=values, provenance=None)
+    else:
+        realization = sample(spec, job.region, job.params.master_seed, index)
     return _pair_event(job.u, job.v, job.L, job.params, realization, job.ispec)
 
 
@@ -242,77 +258,44 @@ def estimate_pair_probability(
     MonteCarlo mode averages the event over counter-seeded realizations;
     ExactBernoulli mode enumerates every potential configuration on the
     region (Bernoulli measure only, at most EXACT_SITE_LIMIT sites) and
-    returns the exact probability, with the interval degenerate.
+    returns the exact probability, with the interval degenerate.  Both run
+    one realization-indexed loop, on `workers` processes.
     """
-    if not is_separable_pair(u, v, L, params.N):
-        raise NonSeparablePairError(
-            f"centers {u.coords} and {v.coords} are not a separable pair at L={L}"
-        )
+    _require_separable(u, v, L, params.N)
     disorder_spec.validate()
     region = tuple(
         sorted(single_particle_sites(Cube(u, L)) | single_particle_sites(Cube(v, L)))
     )
-    target = singularity_target(L, params.p, params.N, params.n)
-
-    if params.mode == EXACT_BERNOULLI:
-        return _exact_bernoulli_estimate(u, v, L, params, disorder_spec, ispec, region, target)
-
-    job = _McJob(u=u, v=v, L=L, params=params, disorder_spec=disorder_spec, ispec=ispec, region=region)
-    outcomes = _parallel.run_indexed(_mc_worker, job, params.realizations, workers)
-    hits = sum(1 for event, _ in outcomes if event)
-    max_probes = max(count for _, count in outcomes)
-    estimate = hits / params.realizations
-    ci_low, ci_high = wilson_interval(hits, params.realizations)
+    exact = params.mode == EXACT_BERNOULLI
+    if exact and disorder_spec.kind != BERNOULLI:
+        raise ValueError("exact enumeration requires a Bernoulli disorder spec")
+    if exact and len(region) > EXACT_SITE_LIMIT:
+        raise ValueError(
+            f"exact enumeration over {len(region)} sites exceeds the limit {EXACT_SITE_LIMIT}"
+        )
+    count = 2 ** len(region) if exact else params.realizations
+    job = _PairJob(u=u, v=v, L=L, params=params, disorder_spec=disorder_spec, ispec=ispec, region=region)
+    outcomes = _parallel.run_indexed(_pair_worker, job, count, workers)
+    max_probes = max(probes for _, probes in outcomes)
+    if exact:
+        q, m = disorder_spec.probabilities[1], len(region)
+        estimate = 0.0
+        for index, (event, _) in enumerate(outcomes):
+            if event:
+                ones = index.bit_count()
+                estimate += q**ones * (1.0 - q) ** (m - ones)
+        ci_low = ci_high = estimate
+    else:
+        hits = sum(1 for event, _ in outcomes if event)
+        estimate = hits / count
+        ci_low, ci_high = wilson_interval(hits, count)
     return PairEstimate(
         L=L,
         estimate=estimate,
         ci_low=ci_low,
         ci_high=ci_high,
-        target=target,
-        samples_used=params.realizations,
-        energy_points_used=max_probes,
-    )
-
-
-def _exact_bernoulli_estimate(
-    u: ConfigPoint,
-    v: ConfigPoint,
-    L: int,
-    params: MsaParams,
-    disorder_spec: DisorderSpec,
-    ispec: InteractionSpec | None,
-    region: tuple[tuple[int, ...], ...],
-    target: float,
-) -> PairEstimate:
-    if disorder_spec.kind != BERNOULLI:
-        raise ValueError("exact enumeration requires a Bernoulli disorder spec")
-    if len(region) > EXACT_SITE_LIMIT:
-        raise ValueError(
-            f"exact enumeration over {len(region)} sites exceeds the limit {EXACT_SITE_LIMIT}"
-        )
-    a, b = disorder_spec.values
-    q = disorder_spec.probabilities[1]
-    amp = disorder_spec.amplitude
-    probability = 0.0
-    max_probes = 0
-    for bits in itertools.product((0, 1), repeat=len(region)):
-        ones = sum(bits)
-        weight = q**ones * (1.0 - q) ** (len(region) - ones)
-        values = {
-            site: amp * (b if bit else a) for site, bit in zip(region, bits)
-        }
-        realization = DisorderRealization(values=values, provenance=None)
-        event, probes = _pair_event(u, v, L, params, realization, ispec)
-        max_probes = max(max_probes, probes)
-        if event:
-            probability += weight
-    return PairEstimate(
-        L=L,
-        estimate=probability,
-        ci_low=probability,
-        ci_high=probability,
-        target=target,
-        samples_used=2 ** len(region),
+        target=singularity_target(L, params.p, params.N, params.n),
+        samples_used=count,
         energy_points_used=max_probes,
     )
 

@@ -343,11 +343,7 @@ class GreenSolver:
     ) -> None:
         self.hm = hm
         self.energy = float(energy)
-        if spectrum is None:
-            spectrum = eigensolve(hm, dense_limit)
-        else:
-            _require_own_spectrum(spectrum, hm)
-        self._spectrum = spectrum
+        self._spectrum = _own_spectrum(spectrum, hm, dense_limit)
         self._columns: dict[int, np.ndarray] = {}
         gap = self._spectrum.gap_to(self.energy)
         if gap <= _resonance_tol(self._spectrum):
@@ -473,10 +469,7 @@ def classify_cube_energies(
     so is an energy whose factorized solve is not certified.
     """
     _require_cube_operator(cube, hm)
-    if spectrum is None:
-        spectrum = eigensolve(hm, dense_limit)
-    else:
-        _require_own_spectrum(spectrum, hm)
+    spectrum = _own_spectrum(spectrum, hm, dense_limit)
     threshold = ns_threshold(m, cube.radius, hm.n, N)
     gap_tol = _resonance_tol(spectrum)
     center_row = hm.row_of(cube.center)
@@ -551,10 +544,13 @@ def _require_cube_operator(cube: Cube, hm: HamiltonianMatrix) -> None:
     raise ValueError("operator was not built on the cube being classified")
 
 
-def _require_own_spectrum(spectrum: Spectrum, hm: HamiltonianMatrix) -> None:
-    """ValueError unless the spectrum is taken on the operator's sites and its
-    eigenpairs pass the certificate's residual gate against the operator (so
-    the spectrum of another realization on the same sites is refused)."""
+def _own_spectrum(spectrum: Spectrum | None, hm: HamiltonianMatrix, dense_limit: int) -> Spectrum:
+    """eigensolve(hm, dense_limit) when no spectrum is given; else the given
+    spectrum, with ValueError unless it is taken on the operator's sites and
+    its eigenpairs pass the certificate's residual gate against the operator
+    (so the spectrum of another realization on the same sites is refused)."""
+    if spectrum is None:
+        return eigensolve(hm, dense_limit)
     if spectrum.site_list is not hm.site_list and spectrum.site_list != hm.site_list:
         raise ValueError("spectrum was not computed on the operator's sites")
     residual = _residual_bound(hm.matrix, spectrum.eigenvalues, spectrum.eigenvectors)
@@ -562,3 +558,4 @@ def _require_own_spectrum(spectrum: Spectrum, hm: HamiltonianMatrix) -> None:
         raise ValueError(
             f"spectrum is not an eigendecomposition of the operator (residual {residual:.3e})"
         )
+    return spectrum

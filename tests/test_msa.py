@@ -123,12 +123,23 @@ def test_probe_refinement_is_superset():
 # ---------------------------------------------------------------------------
 
 
-def test_non_separable_pair_rejected():
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, v: pair_singular_event(u, v, 1, _params(), _flat_realization(-1, 4)),
+        lambda u, v: estimate_pair_probability(
+            u, v, 1, _params(mode=MONTE_CARLO), DisorderSpec.bernoulli(0, 1, 0.5)
+        ),
+        lambda u, v: estimate_pair_probability(
+            u, v, 1, _params(mode=EXACT_BERNOULLI), DisorderSpec.bernoulli(0, 1, 0.5)
+        ),
+    ],
+    ids=["pair_singular_event", "monte-carlo", "exact-bernoulli"],
+)
+def test_non_separable_pair_rejected(call):
     u, v = _pair(3)
-    params = _params()
-    real = _flat_realization(-1, 4)
-    with pytest.raises(NonSeparablePairError):
-        pair_singular_event(u, v, 1, params, real)
+    with pytest.raises(NonSeparablePairError, match="not a separable pair at L=1"):
+        call(u, v)
 
 
 def test_far_interval_event_false():
@@ -203,11 +214,21 @@ def test_exact_bernoulli_weights_sum_to_one():
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_exact_bernoulli_estimate_matches_direct_enumeration():
+@pytest.mark.parametrize(
+    "spec, interval",
+    [
+        (DisorderSpec.bernoulli(0, 1, 0.5, amplitude=8.0), (0.5, 0.52)),
+        # unequal weights and a nonzero lower value: a wrong weight or value
+        # convention in the index decoding shows here, not with q = 1/2, a = 0
+        (DisorderSpec.bernoulli(-1, 2, 0.3, amplitude=4.0), (-1.0, 0.0)),
+    ],
+    ids=["q0.5-a0", "q0.3-a-1"],
+)
+def test_exact_bernoulli_estimate_matches_direct_enumeration(spec, interval):
     u, v = _pair(8)
-    params = _params(mode=EXACT_BERNOULLI, interval=(0.5, 0.52))
-    spec = DisorderSpec.bernoulli(0, 1, 0.5, amplitude=8.0)
-    est = estimate_pair_probability(u, v, 1, params, spec)
+    params = _params(mode=EXACT_BERNOULLI, interval=interval)
+    est = estimate_pair_probability(u, v, 1, params, spec, workers=1)
+    assert estimate_pair_probability(u, v, 1, params, spec, workers=2) == est
     # independent oracle: enumerate configurations and classify from scratch
     region = sorted(
         single_particle_sites(Cube(u, 1)) | single_particle_sites(Cube(v, 1))
@@ -215,10 +236,11 @@ def test_exact_bernoulli_estimate_matches_direct_enumeration():
     total = 0.0
     for bits in itertools.product((0, 1), repeat=len(region)):
         real = DisorderRealization(
-            {site: 8.0 * bit for site, bit in zip(region, bits)}
+            {site: spec.amplitude * spec.values[bit] for site, bit in zip(region, bits)}
         )
         if pair_singular_event(u, v, 1, params, real):
-            total += 0.5 ** len(region)
+            total += math.prod(spec.probabilities[bit] for bit in bits)
+    assert 0.0 < total < 1.0
     assert est.estimate == pytest.approx(total, abs=1e-14)
     assert est.ci_low == est.ci_high == est.estimate
     assert est.samples_used == 2 ** len(region)
