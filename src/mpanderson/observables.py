@@ -22,6 +22,11 @@ B is a Hadamard product of two Gram matrices, hence positive semidefinite,
 so the maximum over the cube [-1, 1]^mI is attained at a sign vector; it is
 enumerated exactly up to a configurable multiplicity limit and otherwise
 bounded from above by the absolute entry sum.
+
+Since B reads only the eigenpairs with energy in I, the moment task solves
+only I: each realization takes a certified window of the spectrum (the
+eigenpairs near I, per swap sector, complete by an inertia count), and the
+full eigendecomposition only where that window fails its certificates.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from . import _parallel
 from .disorder import DisorderSpec, sample
 from .geometry import ConfigPoint, Region, _check_same_space, single_particle_sites
 from .hamiltonian import InteractionSpec, build
-from .spectral import DENSE_LIMIT, Spectrum, eigensolve
+from .spectral import DENSE_LIMIT, Spectrum, _window_eigensolve, eigensolve
 
 logger = logging.getLogger(__name__)
 
@@ -287,7 +292,9 @@ def _moment_worker(job: _MomentJob, index: int) -> MomentResult:
         job.disorder_spec, single_particle_sites(job.region), job.master_seed, index
     )
     hm = build(job.region, realization, job.ispec, job.h)
-    spectrum = eigensolve(hm, job.dense_limit, sectors=True)
+    spectrum = _window_eigensolve(hm, job.interval, job.dense_limit)
+    if spectrum is None:  # the window failed a certificate
+        spectrum = eigensolve(hm, job.dense_limit, sectors=True)
     return hs_moment(
         spectrum,
         job.interval,

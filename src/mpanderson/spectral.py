@@ -8,12 +8,18 @@ commutes with P there (every particle reads one field, and the interaction
 and the Laplacian are symmetric), so it is block-diagonal in the sparse
 orthonormal basis of e_x for P-fixed sites and (e_x +- e_Px)/sqrt(2) for
 swapped pairs, and the even and odd blocks, about half the size each, are
-solved densely.  Whichever way it was found, an eigendecomposition is
-certified against H itself (residual and orthonormality).  Green functions of
-the real symmetric operator at real off-spectrum energies are real.  Every
-Green column is the spectral sum G(x, y; E) = sum_j psi_j(x) psi_j(y) /
-(E_j - E) over the certified eigendecomposition, or, where its residual
-certificate cannot decide, one factorized solve with one refinement step.
+solved densely.  The moment task needs only the eigenpairs with energy in an
+interval I, and takes a window spectrum: per block, only the eigenpairs near
+I, complete by Sylvester's law of inertia (the eigenvalues below each end of
+the window counted from an LDL^T factorization).  A window spectrum's size
+counts its eigenpairs, not the sites, and it never reaches the Green
+function or cube entry points, which refuse it.  Whichever way it was found,
+an eigendecomposition is certified against H itself (residual and
+orthonormality).  Green functions of the real symmetric operator at real
+off-spectrum energies are real.  Every Green column is the spectral sum
+G(x, y; E) = sum_j psi_j(x) psi_j(y) / (E_j - E) over the certified
+eigendecomposition, or, where its residual certificate cannot decide, one
+factorized solve with one refinement step.
 
 A cube is nonsingular at energy E for decay parameters (m, N) when E is
 safely off the spectrum and the Green function from the cube's center to
@@ -55,6 +61,8 @@ _PROBE_BLOCK = 128
 _CERTIFY_ROWS = 128
 #: the entry of e_x and of +-e_Px in a swapped pair's sector basis vector
 _HALF_ROOT = math.sqrt(0.5)
+#: margin of the window solve on each side of I, relative to 1 + |H|_inf
+_WINDOW_PAD = 1e-8
 
 logger = logging.getLogger(__name__)
 
@@ -74,10 +82,14 @@ class SizeLimitError(ValueError):
 
 @dataclass
 class Spectrum:
-    """Full eigendecomposition of a finite-volume Hamiltonian.
+    """Certified eigendecomposition of a finite-volume Hamiltonian.
 
     eigenvalues are ascending; eigenvector j is the column
-    eigenvectors[:, j], indexed like the operator's site list.
+    eigenvectors[:, j], indexed like the operator's site list.  A full
+    spectrum holds one eigenpair per site.  A window spectrum (the moment
+    task's) holds only the eigenpairs in an energy window; size counts
+    eigenpairs either way, and the Green function and cube entry points
+    refuse a spectrum with fewer eigenpairs than sites.
     """
 
     eigenvalues: np.ndarray
@@ -129,10 +141,7 @@ def eigensolve(
     spectra its eigenvectors miss the orthonormality gate; dsyevd is then
     tried under the same gates, and only its failure raises.
     """
-    if hm.size > dense_limit:
-        raise SizeLimitError(
-            f"region has {hm.size} sites, dense limit is {dense_limit}"
-        )
+    _require_dense(hm, dense_limit)
     pairs = _swap_pairs(hm) if sectors else None
     operator = hm.dense() if pairs is None else hm.matrix
     for driver in (None, "evd"):
@@ -159,6 +168,85 @@ def eigensolve(
         f"eigendecomposition failed certification: residual {residual_bound:.3e}, "
         f"orthonormality defect {defect:.3e}"
     )
+
+
+def _window_eigensolve(
+    hm: HamiltonianMatrix, interval: tuple[float, float], dense_limit: int = DENSE_LIMIT
+) -> Spectrum | None:
+    """The certified eigenpairs with energy near the closed interval I (a
+    window Spectrum), or None where the window is not certified.
+
+    The blocks are those of eigensolve(hm, dense_limit, sectors=True): the
+    even and odd swap-sector blocks where the swap splits H, else the dense
+    H.  Each is solved by eigh(subset_by_value=(lo - pad, hi + pad)), where
+    pad = _WINDOW_PAD * (1 + |H|_inf) lies far above any eigenvalue's
+    round-off, so every eigenvalue whose computed value can lie in I is
+    found; LAPACK's interval is half-open, and callers select I from the
+    computed values.  The eigenpairs must pass the full solve's residual and
+    orthonormality gates (against the sparse H), and each block's pair count
+    must equal the count of its eigenvalues in the window by Sylvester's law
+    of inertia.  Where either check fails, the failure is logged and None
+    returned; the caller then takes the full eigensolve(hm, dense_limit,
+    sectors=True).  An empty window is an empty certified Spectrum.
+    """
+    _require_dense(hm, dense_limit)
+    pad = _WINDOW_PAD * (1.0 + float(abs(hm.matrix).sum(axis=1).max()))
+    window = (interval[0] - pad, interval[1] + pad)
+    pairs = _swap_pairs(hm)
+    solved, miscounted = [], 0
+    for block in [hm.dense()] if pairs is None else _sector_blocks(hm.matrix, *pairs):
+        values, vectors, count = _block_window(block, window)
+        miscounted += count != len(values)
+        solved.append((values, vectors))
+    eigenvalues, eigenvectors = solved[0] if pairs is None else _merge_sectors(*pairs, *solved)
+    residual_bound, defect, certified = _certify(hm.matrix, eigenvalues, eigenvectors)
+    if certified and not miscounted:
+        return Spectrum(eigenvalues, eigenvectors, hm.site_list, residual_bound, defect)
+    logger.info(
+        "window solve on %d sites not certified (%d block(s) miscounted, residual %.3e, "
+        "orthonormality defect %.3e)",
+        hm.size, miscounted, residual_bound, defect,
+    )
+    return None
+
+
+def _block_window(block: np.ndarray, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, int]:
+    """A block's eigenpairs in the half-open window (lo, hi], as
+    eigh(subset_by_value) finds them, and the inertia count of its
+    eigenvalues there."""
+    count = _count_below(block, window[1]) - _count_below(block, window[0])
+    values, vectors = sla.eigh(block, subset_by_value=window)
+    return values, vectors.copy(), count  # the copy frees eigh's block-sized output
+
+
+def _count_below(block: np.ndarray, x: float) -> int:
+    """The number of eigenvalues of a symmetric block below x, by Sylvester's
+    law of inertia: the negative eigenvalues of D in the Bunch-Kaufman
+    factorization block - x 1 = L D L^T (LAPACK dsytrf): the negative 1x1
+    pivots, and the negative eigenvalues of each 2x2 pivot (two adjacent rows
+    whose ipiv entries are negative)."""
+    shifted = np.array(block, order="F")
+    shifted[np.diag_indices_from(shifted)] -= x
+    sytrf, sytrf_lwork = sla.get_lapack_funcs(("sytrf", "sytrf_lwork"), (shifted,))
+    lwork, _ = sytrf_lwork(len(shifted), lower=1)
+    factor, ipiv, info = sytrf(shifted, lower=1, lwork=int(lwork), overwrite_a=True)
+    if info < 0:
+        raise RuntimeError(f"dsytrf rejected argument {-info}")
+    diagonal = np.diag(factor)
+    paired = np.flatnonzero(ipiv < 0)
+    first, second = paired[0::2], paired[1::2]
+    pivots = np.empty((len(first), 2, 2))
+    pivots[:, 0, 0], pivots[:, 1, 1] = diagonal[first], diagonal[second]
+    pivots[:, 0, 1] = pivots[:, 1, 0] = factor[second, first]
+    single = np.delete(diagonal, paired)
+    return int(np.count_nonzero(single < 0.0) + np.count_nonzero(np.linalg.eigvalsh(pivots) < 0.0))
+
+
+def _require_dense(hm: HamiltonianMatrix, dense_limit: int) -> None:
+    if hm.size > dense_limit:
+        raise SizeLimitError(
+            f"region has {hm.size} sites, dense limit is {dense_limit}"
+        )
 
 
 def _swap_pairs(hm: HamiltonianMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -191,13 +279,15 @@ def _swap_pairs(hm: HamiltonianMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _sector_eigh(
     matrix: sp.csr_matrix, fixed: np.ndarray, lo: np.ndarray, hi: np.ndarray, driver: str | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a swap-symmetric operator from its even and odd blocks.
+    """Eigenpairs of a swap-symmetric operator from its even and odd blocks."""
+    even, odd = (sla.eigh(block, driver=driver) for block in _sector_blocks(matrix, fixed, lo, hi))
+    return _merge_sectors(fixed, lo, hi, even, odd)
 
-    The even basis is e_x for the fixed rows and (e_lo + e_hi)/sqrt(2) per
-    pair, the odd one (e_lo - e_hi)/sqrt(2).  The merged eigenvalues ascend
-    (a stable sort, even before odd on ties); each block's eigenvectors are
-    written in place, scaled in their own array, into the result's columns.
-    """
+
+def _sector_blocks(matrix: sp.csr_matrix, fixed: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Yield the even block Q^T H Q, then the odd one, each formed sparsely
+    and returned dense.  The even basis Q is e_x for the fixed rows and
+    (e_lo + e_hi)/sqrt(2) per pair, the odd one (e_lo - e_hi)/sqrt(2)."""
     size, pair_count = matrix.shape[0], len(lo)
     even_size = len(fixed) + pair_count
     half = np.full(pair_count, _HALF_ROOT)
@@ -209,19 +299,33 @@ def _sector_eigh(
         ),
         shape=(size, even_size),
     )
+    yield (even.T @ matrix @ even).toarray()
     odd = sp.csr_matrix(
         (np.concatenate([half, -half]), (np.concatenate([lo, hi]), np.tile(np.arange(pair_count), 2))),
         shape=(size, pair_count),
     )
-    even_values, even_vectors = sla.eigh((even.T @ matrix @ even).toarray(), driver=driver)
-    odd_values, odd_vectors = sla.eigh((odd.T @ matrix @ odd).toarray(), driver=driver)
+    yield (odd.T @ matrix @ odd).toarray()
 
+
+def _merge_sectors(
+    fixed: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    even: tuple[np.ndarray, np.ndarray],
+    odd: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the operator from (values, vectors) of its even and odd
+    blocks, all of each block's eigenpairs or some.  The merged eigenvalues
+    ascend (a stable sort, even before odd on ties); each block's
+    eigenvectors are mapped through the sector basis by writing them in
+    place, scaled in their own array, into the result's columns."""
+    (even_values, even_vectors), (odd_values, odd_vectors) = even, odd
     merged = np.concatenate([even_values, odd_values])
     order = np.argsort(merged, kind="stable")
-    position = np.empty(size, dtype=np.intp)
-    position[order] = np.arange(size)
-    at_even, at_odd = position[:even_size], position[even_size:]
-    vectors = np.zeros((size, size))
+    position = np.empty(len(merged), dtype=np.intp)
+    position[order] = np.arange(len(merged))
+    at_even, at_odd = position[: len(even_values)], position[len(even_values) :]
+    vectors = np.zeros((len(fixed) + 2 * len(lo), len(merged)))
     vectors[fixed[:, None], at_even] = even_vectors[: len(fixed)]
     pair_part = even_vectors[len(fixed) :]
     pair_part *= _HALF_ROOT
@@ -238,9 +342,10 @@ def _certify(
 ) -> tuple[float, float, bool]:
     """(residual bound, orthonormality defect, both within their gates).
 
-    The operator is H as a dense array or a sparse matrix.  Beside the
-    inputs it holds one size x size array at a time (the residual, then the
-    Gram matrix) and row chunks of V diag(E).  Each elementwise step runs in
+    The operator is H as a dense array or a sparse matrix, and V holds all
+    eigenpairs or a window of them (none certify trivially).  Beside the
+    inputs it holds one array at a time (the residual, of V's shape, then
+    the Gram matrix) and row chunks of V diag(E).  Each elementwise step runs in
     place on the operands, and in the layout, that
     max_j |(H V - V diag(E))_j| and max |V^T V - 1| written with temporaries
     use, so the certificates are the same floats.
@@ -248,23 +353,23 @@ def _certify(
     residual_bound = _residual_bound(operator, eigenvalues, eigenvectors)
     gram = eigenvectors.T @ eigenvectors
     gram.flat[:: len(gram) + 1] -= 1.0
-    defect = float(np.max(np.abs(gram, out=gram)))
+    defect = float(np.max(np.abs(gram, out=gram), initial=0.0))
     return residual_bound, defect, residual_bound <= _residual_gate(eigenvalues) and defect <= 1e-10
 
 
 def _residual_bound(operator, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> float:
-    """max_j |H v_j - E_j v_j|_2, through one size x size array."""
+    """max_j |H v_j - E_j v_j|_2 (0 for no eigenpairs), through one array of V's shape."""
     residual = operator @ eigenvectors
     for start in range(0, len(residual), _CERTIFY_ROWS):
         rows = slice(start, start + _CERTIFY_ROWS)
         residual[rows] -= eigenvectors[rows] * eigenvalues
     residual *= residual
-    return float(np.max(np.sqrt(np.add.reduce(residual, axis=0))))
+    return float(np.max(np.sqrt(np.add.reduce(residual, axis=0)), initial=0.0))
 
 
 def _residual_gate(eigenvalues: np.ndarray) -> float:
     """The largest residual bound a certified eigendecomposition may have."""
-    return 1e-8 * (1.0 + float(np.max(np.abs(eigenvalues))))
+    return 1e-8 * (1.0 + float(np.max(np.abs(eigenvalues), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +653,17 @@ def _own_spectrum(spectrum: Spectrum | None, hm: HamiltonianMatrix, dense_limit:
     """eigensolve(hm, dense_limit) when no spectrum is given; else the given
     spectrum, with ValueError unless it is taken on the operator's sites and
     its eigenpairs pass the certificate's residual gate against the operator
-    (so the spectrum of another realization on the same sites is refused)."""
+    (so the spectrum of another realization on the same sites is refused)
+    and holds all of the operator's eigenpairs (a window spectrum does not)."""
     if spectrum is None:
         return eigensolve(hm, dense_limit)
     if spectrum.site_list is not hm.site_list and spectrum.site_list != hm.site_list:
         raise ValueError("spectrum was not computed on the operator's sites")
+    if spectrum.size != hm.size:
+        raise ValueError(
+            f"spectrum holds {spectrum.size} of the operator's {hm.size} eigenpairs; "
+            "a full eigendecomposition is required"
+        )
     residual = _residual_bound(hm.matrix, spectrum.eigenvalues, spectrum.eigenvectors)
     if not residual <= _residual_gate(spectrum.eigenvalues):
         raise ValueError(

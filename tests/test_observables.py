@@ -12,6 +12,8 @@ from mpanderson.hamiltonian import InteractionSpec, build
 from mpanderson.observables import (
     DEFAULT_SHELL_FLOOR,
     _max_vertex_quadratic,
+    _moment_worker,
+    _MomentJob,
     DecayFit,
     DecayFitError,
     decay_fit,
@@ -22,7 +24,7 @@ from mpanderson.observables import (
     moment_samples,
     shell_maxima,
 )
-from mpanderson.spectral import Spectrum, eigensolve
+from mpanderson.spectral import Spectrum, _window_eigensolve, eigensolve
 
 
 def _synthetic_spectrum(psi_values, radius):
@@ -447,9 +449,43 @@ def test_moment_samples_solve_in_the_swap_sectors():
     results = moment_samples(region, spec, ispec, 0.5, (4.0, 5.0), 2.0, K, 3, 9)
     for index, result in enumerate(results):
         hm = build(region, sample(spec, single_particle_sites(region), 9, index), ispec, 0.5)
-        expected = hs_moment(eigensolve(hm, sectors=True), (4.0, 5.0), 2.0, K, provenance=(9, index))
+        window = _window_eigensolve(hm, (4.0, 5.0))
+        assert window.size < hm.size  # only the window is solved
+        expected = hs_moment(window, (4.0, 5.0), 2.0, K, provenance=(9, index))
         assert result == expected
         assert result.multiplicity > 0
+        # the full sector solve gives the same method and multiplicity, and
+        # the value up to round-off
+        full = hs_moment(eigensolve(hm, sectors=True), (4.0, 5.0), 2.0, K, provenance=(9, index))
+        assert (result.method, result.multiplicity) == (full.method, full.multiplicity)
+        assert result.value == pytest.approx(full.value, rel=1e-8, abs=1e-15)
+
+
+def test_moment_worker_holds_no_size_by_size_array():
+    # one realization of the moment benchmark's settings (n = 2, L = 16,
+    # 1089 sites), where one size x size float array is 9.49 MB; the window
+    # solve peaked at 8.02-8.08 MB over realizations 0-5 of master seed 30001,
+    # its largest arrays being the even sector block and eigh's copies of it
+    region = Cube(ConfigPoint.origin(2, 1), 16)
+    K = frozenset(x for x in sites(region) if max(map(abs, x.coords)) <= 1)
+    spec = DisorderSpec.bernoulli(0.0, 1.0, 0.5, 8.0)
+    job = _MomentJob(region, spec, InteractionSpec.sub_exponential(), 0.5, (2.0, 2.3), 2.0, K, 30001, 18, 4096)
+    square = 1089 * 1089 * 8
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: _moment_worker(job, 0)) < 9_000_000 < square
+    # the measurement sees the full solve's size x size eigenvectors
+    hm = build(region, sample(spec, single_particle_sites(region), 30001, 0), job.ispec, 0.5)
+    assert peak(lambda: eigensolve(hm, sectors=True)) >= square
 
 
 def test_moment_sample_mean_stabilizes():

@@ -530,6 +530,26 @@ def test_spectrum_of_another_realization_rejected():
             GreenSolver(hm, between, foreign)
 
 
+def test_partial_spectrum_rejected():
+    # a window spectrum and a full one missing its top pair are certified on
+    # the operator's own sites, so only their size tells them from a full one
+    cube = Cube(ConfigPoint.origin(2, 1), 3)
+    spec = DisorderSpec.bernoulli(0.0, 1.0, 0.5, 8.0)
+    hm = build(cube, sample(spec, single_particle_sites(cube), 1, 0), InteractionSpec.sub_exponential(), 0.5)
+    full = eigensolve(hm, sectors=True)
+    E = full.eigenvalues
+    window = spectral._window_eigensolve(hm, (float(E[10]), float(E[20])))
+    assert 0 < window.size < hm.size
+    truncated = replace(full, eigenvalues=E[:-1], eigenvectors=full.eigenvectors[:, :-1])
+    between = 0.5 * float(E[15] + E[16])
+    assert classify_cube(cube, hm, between, 1.0, 2, full).spectral_gap > 0.0
+    for partial in (window, truncated):
+        with pytest.raises(ValueError, match="full eigendecomposition"):
+            classify_cube(cube, hm, between, 1.0, 2, partial)
+        with pytest.raises(ValueError, match="full eigendecomposition"):
+            GreenSolver(hm, between, partial)
+
+
 def test_classify_many_matches_single():
     cube, hm = _random_cube_instance(40, L=3)
     spectrum = eigensolve(hm)
